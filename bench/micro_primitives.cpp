@@ -57,13 +57,11 @@ Profile random_profile(Rng& rng, std::size_t entries, ItemId universe) {
   return p;
 }
 
-// The production scoring loop of the WUP clustering protocol: a node scores
-// its candidate descriptors every merge, but between merges at most a few
-// candidate profiles actually changed. `use_memo=false` reproduces the
-// pre-change behavior (every candidate rescored from scratch, the seed's
-// BM_WupSimilarity cost per call); `use_memo=true` is the shipped path,
-// where only the churned descriptor pays the kernel.
-void run_wup_scoring(benchmark::State& state, bool use_memo) {
+// The production scoring loop of the WUP clustering protocol: a node
+// scores its candidate descriptors every merge, decoding each snapshot
+// through the materialize scratch, with one candidate profile churned
+// between merges (the steady-state gossip pattern).
+void BM_WupSimilarity(benchmark::State& state) {
   Rng rng(1);
   const auto size = static_cast<std::size_t>(state.range(0));
   constexpr std::size_t kCandidates = 64;
@@ -73,7 +71,6 @@ void run_wup_scoring(benchmark::State& state, bool use_memo) {
     candidates.push_back(
         net::make_descriptor(static_cast<NodeId>(i), 0, random_profile(rng, size, 4 * size)));
   }
-  SimilarityMemo memo;
   for (auto _ : state) {
     // Gossip churn: one candidate re-rated an item since the last merge.
     net::Descriptor& churned = candidates[rng.index(kCandidates)];
@@ -82,20 +79,13 @@ void run_wup_scoring(benchmark::State& state, bool use_memo) {
     churned = net::make_descriptor(churned.node, churned.timestamp(), fresh);
     double total = 0.0;
     for (const net::Descriptor& d : candidates) {
-      total += use_memo
-                   ? memo.score(Metric::kWup, subject, d.node, d.profile_ref())
-                   : wup_similarity(subject, d.profile_ref());
+      total += wup_similarity(subject, d.profile_ref());
     }
     benchmark::DoNotOptimize(total);
   }
   state.SetItemsProcessed(state.iterations() * kCandidates);
 }
-
-void BM_WupSimilarity(benchmark::State& state) { run_wup_scoring(state, true); }
 BENCHMARK(BM_WupSimilarity)->Arg(16)->Arg(64)->Arg(256);
-
-void BM_WupSimilarityNoMemo(benchmark::State& state) { run_wup_scoring(state, false); }
-BENCHMARK(BM_WupSimilarityNoMemo)->Arg(16)->Arg(64)->Arg(256);
 
 // The raw pairwise kernel (one subject/candidate pair, fixed operands).
 void BM_WupSimilarityKernel(benchmark::State& state) {
@@ -152,27 +142,6 @@ void BM_ViewMergeClosest(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * n_candidates);
 }
 BENCHMARK(BM_ViewMergeClosest)->Arg(30)->Arg(70)->Arg(150);
-
-// The production merge path (ClusteringProtocol::merge): same selection,
-// but scores flow through the per-protocol similarity memo.
-void BM_ViewMergeClosestMemo(benchmark::State& state) {
-  Rng rng(4);
-  const auto n_candidates = static_cast<std::size_t>(state.range(0));
-  const Profile own = random_profile(rng, 100, 400);
-  std::vector<net::Descriptor> candidates;
-  for (std::size_t i = 0; i < n_candidates; ++i) {
-    candidates.push_back(
-        net::make_descriptor(static_cast<NodeId>(i), 0, random_profile(rng, 100, 400)));
-  }
-  SimilarityMemo memo;
-  for (auto _ : state) {
-    gossip::View view(20);
-    view.assign_closest(candidates, own, Metric::kWup, rng, &memo);
-    benchmark::DoNotOptimize(view);
-  }
-  state.SetItemsProcessed(state.iterations() * n_candidates);
-}
-BENCHMARK(BM_ViewMergeClosestMemo)->Arg(30)->Arg(70)->Arg(150);
 
 // Outgoing-descriptor materialization: seed behavior (deep copy per send)
 // vs the shipped ProfileSnapshotCache (shared snapshot until the profile

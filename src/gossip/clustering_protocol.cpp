@@ -17,10 +17,7 @@ net::ViewPayload ClusteringProtocol::make_payload(sim::Context& ctx,
                                                   const Profile& own_profile) const {
   net::ViewPayload payload;
   payload.sender = net::Descriptor{self_, snapshot_cache_.stamp(ctx.now(), own_profile)};
-  // The ENTIRE view (§II), copied into a pooled buffer recycled from
-  // earlier delivered messages.
-  payload.view = ctx.acquire_descriptor_buffer();
-  payload.view.assign(view_.entries().begin(), view_.entries().end());
+  payload.view = view_.entries();  // the ENTIRE view (§II)
   return payload;
 }
 
@@ -57,14 +54,14 @@ void ClusteringProtocol::merge(sim::Context& ctx, const net::ViewPayload& payloa
   incoming.push_back(payload.sender);
   incoming.insert(incoming.end(), rps_view.entries().begin(), rps_view.entries().end());
   auto merged = merge_candidates(view_.entries(), incoming, self_);
-  view_.assign_closest(std::move(merged), own_profile, metric_, ctx.rng(), &memo_);
+  view_.assign_closest(std::move(merged), own_profile, metric_, ctx.rng());
 }
 
 double ClusteringProtocol::avg_similarity(const Profile& own_profile) const {
   if (view_.empty()) return 0.0;
   double total = 0.0;
   for (const net::Descriptor& d : view_.entries()) {
-    total += memo_.score(metric_, own_profile, d.node, d.stamp());
+    total += similarity(metric_, own_profile, d.profile_ref());
   }
   return total / static_cast<double>(view_.size());
 }

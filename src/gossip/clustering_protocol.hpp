@@ -45,8 +45,7 @@ class ClusteringProtocol {
   double avg_similarity(const Profile& own_profile) const;
 
  private:
-  // Takes the context to stamp the send cycle and to draw a pooled payload
-  // buffer from the executing shard.
+  // Takes the context to stamp the send cycle.
   net::ViewPayload make_payload(sim::Context& ctx, const Profile& own_profile) const;
   void merge(sim::Context& ctx, const net::ViewPayload& payload,
              const Profile& own_profile, const View& rps_view);
@@ -55,12 +54,9 @@ class ClusteringProtocol {
   View view_;
   Metric metric_;
   Cycle period_;
-  // Hot-path caches (perf only — see docs/perf.md): outgoing descriptors
-  // reuse one immutable snapshot until the disclosed profile's version
-  // changes, and view merges / convergence probes only rescore descriptors
-  // whose profile (or whose subject profile) actually changed.
+  // Outgoing descriptors reuse one immutable snapshot until the disclosed
+  // profile's version changes (perf only — see docs/perf.md).
   mutable ProfileSnapshotCache snapshot_cache_;
-  mutable SimilarityMemo memo_;
 };
 
 }  // namespace whatsup::gossip

@@ -53,17 +53,11 @@ void View::remove(NodeId node) {
 }
 
 std::vector<net::Descriptor> View::random_subset(Rng& rng, std::size_t k) const {
-  std::vector<net::Descriptor> out;
-  random_subset_into(rng, k, out);
-  return out;
-}
-
-void View::random_subset_into(Rng& rng, std::size_t k,
-                              std::vector<net::Descriptor>& out) const {
   const auto picks = rng.sample_indices(entries_.size(), k);
-  out.clear();
+  std::vector<net::Descriptor> out;
   out.reserve(picks.size());
   for (std::size_t i : picks) out.push_back(entries_[i]);
+  return out;
 }
 
 std::vector<NodeId> View::random_members(Rng& rng, std::size_t k) const {
@@ -93,21 +87,14 @@ void View::assign_random(std::vector<net::Descriptor> candidates, Rng& rng) {
 }
 
 void View::assign_closest(std::vector<net::Descriptor> candidates, const Profile& own_profile,
-                          Metric metric, Rng& rng, SimilarityMemo* memo) {
+                          Metric metric, Rng& rng) {
   // Random shuffle before selection randomizes tie-breaking, which matters
   // at cold start when every similarity is 0.
   rng.shuffle(candidates);
   std::vector<std::pair<double, std::size_t>> scored;
   scored.reserve(candidates.size());
   for (std::size_t i = 0; i < candidates.size(); ++i) {
-    // The memo path keys on the snapshot header (no decode on a hit); the
-    // memo-less path materializes the compact snapshot into scratch.
-    const double s =
-        memo != nullptr
-            ? memo->score(metric, own_profile, candidates[i].node,
-                          candidates[i].stamp())
-            : similarity(metric, own_profile, candidates[i].profile_ref());
-    scored.emplace_back(s, i);
+    scored.emplace_back(similarity(metric, own_profile, candidates[i].profile_ref()), i);
   }
   // (descending score, ascending shuffled position) is a strict total order
   // — exactly the ranking the seed's shuffle + stable_sort produced — so

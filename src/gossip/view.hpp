@@ -13,7 +13,6 @@
 #include "common/rng.hpp"
 #include "net/message.hpp"
 #include "profile/similarity.hpp"
-#include "profile/snapshot.hpp"
 
 namespace whatsup::gossip {
 
@@ -44,12 +43,6 @@ class View {
 
   // k entries picked uniformly without replacement.
   std::vector<net::Descriptor> random_subset(Rng& rng, std::size_t k) const;
-  // Same draw into a caller-provided buffer (cleared first): lets message
-  // builders reuse pooled payload storage (sim::DescriptorBufferPool)
-  // instead of allocating a fresh vector per gossip message. Consumes the
-  // same randomness as random_subset, picking the same members.
-  void random_subset_into(Rng& rng, std::size_t k,
-                          std::vector<net::Descriptor>& out) const;
   // Same sampling, ids only — skips the descriptor (and snapshot pointer)
   // copies when the caller just needs gossip targets. Consumes the same
   // randomness as random_subset, picking the same members.
@@ -66,10 +59,9 @@ class View {
   // `own_profile` under `metric`; ties broken uniformly at random
   // (WUP merge policy). Selection is top-K (nth_element + bounded sort)
   // rather than a full sort, with the same deterministic shuffle-based
-  // tie-breaking as a stable sort by descending score. When `memo` is
-  // non-null, unchanged (subject, candidate) pairs reuse memoized scores.
+  // tie-breaking as a stable sort by descending score.
   void assign_closest(std::vector<net::Descriptor> candidates, const Profile& own_profile,
-                      Metric metric, Rng& rng, SimilarityMemo* memo = nullptr);
+                      Metric metric, Rng& rng);
 
  private:
   std::size_t capacity_;

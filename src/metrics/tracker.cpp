@@ -60,11 +60,6 @@ void Tracker::attach(sim::Engine& engine) {
       [this](sim::Engine&, Cycle now) { compact_settled(now); });
 }
 
-void Tracker::set_compaction(bool enabled, Cycle settle_cycles) {
-  compaction_enabled_ = enabled;
-  settle_cycles_ = settle_cycles;
-}
-
 void Tracker::touch(ItemIdx item) {
   if (item >= last_touch_.size()) return;
   last_touch_[item] = engine_ != nullptr ? engine_->now() : Cycle{0};
@@ -72,10 +67,9 @@ void Tracker::touch(ItemIdx item) {
 }
 
 void Tracker::compact_settled(Cycle now) {
-  if (!compaction_enabled_) return;
   for (std::size_t item = 0; item < reached_.size(); ++item) {
     if (settled_[item] || last_touch_[item] == kNoCycle ||
-        now - last_touch_[item] < settle_cycles_) {
+        now - last_touch_[item] < kDefaultSettleCycles) {
       continue;
     }
     reached_[item].freeze();

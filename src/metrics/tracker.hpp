@@ -38,17 +38,16 @@ class Tracker : public sim::DisseminationObserver {
 
   // Registers as the engine's observer and binds the clock used by the
   // per-cycle series. Also registers the compaction cycle hook (see
-  // set_compaction); the tracker must outlive the engine's run.
+  // compact_settled); the tracker must outlive the engine's run.
   void attach(sim::Engine& engine);
 
-  // Compact tracker mode (on by default): once an item has gone
-  // `settle_cycles` without a delivery/opinion/duplicate, its reached and
-  // liked sets are frozen into sorted varint delta blocks
-  // (HybridSet::freeze — adopted only when strictly smaller). Purely a
-  // storage change: digests are computed from the same ascending member
-  // iteration, and a late delivery transparently thaws the set, so
-  // fixed-seed trajectories are bit-identical with compaction on or off.
-  void set_compaction(bool enabled, Cycle settle_cycles = kDefaultSettleCycles);
+  // Compaction: once an item has gone kDefaultSettleCycles without a
+  // delivery/opinion/duplicate, its reached and liked sets are frozen into
+  // sorted varint delta blocks (HybridSet::freeze — adopted only when
+  // strictly smaller). Purely a storage change: digests are computed from
+  // the same ascending member iteration, and a late delivery transparently
+  // thaws the set, so fixed-seed trajectories are bit-identical whether or
+  // not a pass ever runs.
   static constexpr Cycle kDefaultSettleCycles = 16;
   // Runs one compaction pass at cycle `now` (the attach hook calls this
   // every cycle; exposed for tests).
@@ -184,8 +183,6 @@ class Tracker : public sim::DisseminationObserver {
   // Touches are recorded on the main thread in canonical commit order and
   // the pass runs in a cycle hook, so freezing is a deterministic function
   // of the trajectory.
-  bool compaction_enabled_ = true;
-  Cycle settle_cycles_ = kDefaultSettleCycles;
   std::vector<Cycle> last_touch_;
   std::vector<bool> settled_;
   void touch(ItemIdx item);

@@ -2,8 +2,8 @@
 //
 // `Snapshot` is the one reporting path for run-level numbers: the merged
 // stats registry plus the pre-existing one-off sources absorbed as gauges
-// (`Engine::memory_stats()`, `Tracker::resident_bytes()`, per-shard
-// `descriptor_pool` stats, `SnapshotArena::stats()`). Consumers — the
+// (`Engine::memory_stats()`, `Tracker::resident_bytes()`,
+// `SnapshotArena::stats()`). Consumers — the
 // `--stats-json` writer, the WHATSUP_MEM_STATS dump, run_bench.sh's stats
 // summary — all read the same structure.
 //
@@ -40,7 +40,7 @@ struct Snapshot {
   static Snapshot collect();
 
   // One-off sources, absorbed as gauges so they ride the same pipe.
-  void absorb(const sim::Engine& engine);      // engine.mem.* + engine.pool.*
+  void absorb(const sim::Engine& engine);      // engine.mem.*
   void absorb(const metrics::Tracker& tracker);  // tracker.resident_bytes
   void absorb_arena();                         // arena.* (SnapshotArena)
 

@@ -1,8 +1,5 @@
 #include "profile/snapshot.hpp"
 
-#include <bit>
-#include <type_traits>
-
 namespace whatsup {
 
 ProfileHandle ProfileSnapshotCache::get(const Profile& profile) {
@@ -22,82 +19,6 @@ DescriptorRef ProfileSnapshotCache::stamp(Cycle now, const Profile& profile) {
     stamp_version_ = profile.version();
   }
   return stamp_;
-}
-
-SimilarityMemo::SimilarityMemo(std::size_t slots) {
-  mask_ = std::bit_ceil(slots < 8 ? std::size_t{8} : slots) - 1;
-}
-
-void SimilarityMemo::reset_entries() {
-  for (std::size_t i = 0; i <= mask_; ++i) slots_[i] = Entry{};
-}
-
-void SimilarityMemo::clear() {
-  if (slots_ != nullptr) reset_entries();
-  subject_version_ = ~std::uint64_t{0};
-}
-
-std::size_t SimilarityMemo::size() const {
-  if (slots_ == nullptr) return 0;
-  std::size_t n = 0;
-  for (std::size_t i = 0; i <= mask_; ++i) {
-    if (slots_[i].node != kNoNode) ++n;
-  }
-  return n;
-}
-
-template <typename Candidate>
-double SimilarityMemo::score_impl(Metric metric, const Profile& subject,
-                                  NodeId node, std::uint64_t candidate_version,
-                                  const Candidate& candidate) {
-  if (slots_ == nullptr) slots_ = std::make_unique<Entry[]>(mask_ + 1);
-  // Any change to the subject invalidates every entry (versions never
-  // revert, so entries keyed under an older subject are dead weight).
-  if (subject.version() != subject_version_) {
-    reset_entries();
-    subject_version_ = subject.version();
-  }
-  const std::uint64_t h =
-      (static_cast<std::uint64_t>(node) * 0x9E3779B97F4A7C15ull) ^
-      (static_cast<std::uint64_t>(metric) << 32);
-  const std::size_t base = static_cast<std::size_t>(h >> 32);
-  Entry* vacant = nullptr;
-  for (std::size_t probe = 0; probe < kProbe; ++probe) {
-    Entry& entry = slots_[(base + probe) & mask_];
-    if (entry.node == node && entry.metric == metric) {
-      if (entry.candidate_version == candidate_version) return entry.value;
-      vacant = &entry;  // stale generation of the same key: overwrite
-      break;
-    }
-    if (vacant == nullptr && entry.node == kNoNode) vacant = &entry;
-  }
-  double value;
-  if constexpr (std::is_same_v<Candidate, ProfileHandle> ||
-                std::is_same_v<Candidate, DescriptorRef>) {
-    value = similarity(metric, subject, candidate.materialize());
-  } else {
-    value = similarity(metric, subject, candidate);
-  }
-  // Full probe window: evict the first slot (deterministic, and correct by
-  // construction — a recompute returns the identical bits).
-  Entry& target = vacant != nullptr ? *vacant : slots_[base & mask_];
-  target = Entry{node, metric, candidate_version, value};
-  return value;
-}
-
-double SimilarityMemo::score(Metric metric, const Profile& subject, NodeId node,
-                             const Profile& candidate) {
-  return score_impl(metric, subject, node, candidate.version(), candidate);
-}
-
-double SimilarityMemo::score(Metric metric, const Profile& subject, NodeId node,
-                             const ProfileHandle& candidate) {
-  return score_impl(metric, subject, node, candidate.version(), candidate);
-}
-
-double SimilarityMemo::score(Metric metric, const Profile& subject, NodeId node,
-                             const DescriptorRef& candidate) {
-  return score_impl(metric, subject, node, candidate.profile_version(), candidate);
 }
 
 }  // namespace whatsup

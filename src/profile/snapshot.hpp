@@ -1,35 +1,20 @@
-// Version-keyed caches around interned profile snapshots — the memory
-// half of the gossip hot path.
+// Version-keyed snapshot cache — the memory half of the gossip hot path.
 //
-// Descriptors ship profiles as interned compact records behind a 16-byte
+// Descriptors ship profiles as interned compact records behind a 4-byte
 // `ProfileHandle` (profile/compact.hpp). The seed implementation deep-
 // copied the sender's profile into a fresh snapshot for EVERY outgoing
-// gossip message, and rescored every candidate descriptor from scratch on
-// EVERY view merge. Both are redundant while the underlying profiles are
-// unchanged, which `Profile::version()` detects exactly: equal versions
-// imply equal contents (see profile.hpp).
-//
-//  * `ProfileSnapshotCache` re-interns a node's outgoing snapshot only
-//    when its profile version changed, skipping the intern-table lock on
-//    the (overwhelmingly common) unchanged path; all empty profiles share
-//    one static handle.
-//  * `SimilarityMemo` memoizes similarity(metric, subject, candidate) in a
-//    fixed-capacity open-addressed table keyed by (candidate node, metric)
-//    and guarded by (subject version, candidate version). A collision or
-//    eviction only ever costs a recompute: memoized values are bit-equal
-//    to fresh ones because similarity() is a pure function of the two
-//    profiles, so the table size is a perf knob, never a correctness one.
-//    The flat table replaces the seed's per-node unordered_map, which grew
-//    one heap node per peer ever scored (~30 KB/node at 100k nodes) — the
-//    single largest per-node cost on the road to million-node runs.
+// gossip message. That is redundant while the profile is unchanged, which
+// `Profile::version()` detects exactly: equal versions imply equal
+// contents (see profile.hpp). `ProfileSnapshotCache` re-interns a node's
+// outgoing snapshot only when its profile version changed, skipping the
+// intern-table lock on the (overwhelmingly common) unchanged path; all
+// empty profiles share one static handle.
 #pragma once
 
 #include <cstdint>
-#include <memory>
 
 #include "common/ids.hpp"
 #include "profile/compact.hpp"
-#include "profile/similarity.hpp"
 
 namespace whatsup {
 
@@ -51,60 +36,6 @@ class ProfileSnapshotCache {
   DescriptorRef stamp_;
   Cycle stamp_cycle_ = kNoCycle;
   std::uint64_t stamp_version_ = ~std::uint64_t{0};
-};
-
-class SimilarityMemo {
- public:
-  // `slots` is rounded up to a power of two (min 8). The default covers a
-  // WUP view (~20 stable peers) plus some churn of merge candidates at
-  // 0.75 KB per node; collisions beyond that only cost recomputes, and at
-  // the macro scale the smaller footprint beats the extra hit rate.
-  explicit SimilarityMemo(std::size_t slots = kDefaultSlots);
-
-  // Memoized similarity(metric, subject, candidate); `node` is the owner
-  // of `candidate` (the descriptor's node id, unique within one merge).
-  // The handle/stamp overloads key on the snapshot header and decode only
-  // on a memo miss.
-  double score(Metric metric, const Profile& subject, NodeId node,
-               const Profile& candidate);
-  double score(Metric metric, const Profile& subject, NodeId node,
-               const ProfileHandle& candidate);
-  double score(Metric metric, const Profile& subject, NodeId node,
-               const DescriptorRef& candidate);
-
-  void clear();
-  std::size_t size() const;  // occupied slots
-  std::size_t slot_count() const { return mask_ + 1; }
-  std::size_t resident_bytes() const {
-    return sizeof(SimilarityMemo) +
-           (slots_ != nullptr ? (mask_ + 1) * sizeof(Entry) : 0);
-  }
-
-  static constexpr std::size_t kDefaultSlots = 32;
-
- private:
-  struct Entry {
-    NodeId node = kNoNode;
-    Metric metric = Metric::kWup;
-    std::uint64_t candidate_version = 0;
-    double value = 0.0;
-  };
-
-  // Linear probe window: long enough to ride out clustering in a small
-  // power-of-two table, short enough to stay in two cache lines.
-  static constexpr std::size_t kProbe = 4;
-
-  template <typename Candidate>
-  double score_impl(Metric metric, const Profile& subject, NodeId node,
-                    std::uint64_t candidate_version, const Candidate& candidate);
-
-  void reset_entries();
-
-  // ~0 marks "no subject yet": real versions come from a counter and empty
-  // profiles report 0, so the sentinel cannot collide.
-  std::uint64_t subject_version_ = ~std::uint64_t{0};
-  std::size_t mask_ = 0;
-  std::unique_ptr<Entry[]> slots_;  // allocated on first score()
 };
 
 }  // namespace whatsup

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cassert>
-#include <cstdlib>
 #include <stdexcept>
 #include <thread>
 #include <variant>
@@ -150,13 +149,6 @@ void Context::send(NodeId to, net::MsgType type, net::AckPayload payload) {
   m.sent_at = engine_.now();
   m.payload = payload;
   send(std::move(m));
-}
-
-std::vector<net::Descriptor> Context::acquire_descriptor_buffer() {
-  // The shard is executed by exactly one worker per phase, so its pool
-  // needs no synchronization here.
-  return shard_ != nullptr ? shard_->descriptor_pool.acquire()
-                           : std::vector<net::Descriptor>{};
 }
 
 void Context::send(net::Message message) {
@@ -449,16 +441,10 @@ void Engine::ensure_shards() {
   // that conflict misses stay off the scoring profile. Monotonic in the
   // node count, hence identical across thread counts and partitionings —
   // and a pure cache size either way, so it could never affect results.
-  // WHATSUP_SCRATCH_SLOTS overrides for footprint/throughput experiments.
   if (!agents_.empty()) {
-    std::size_t slots = 16 * agents_.size();
-    if (const char* env = std::getenv("WHATSUP_SCRATCH_SLOTS")) {
-      const long parsed = std::atol(env);
-      if (parsed > 0) slots = static_cast<std::size_t>(parsed);
-    }
-    set_materialize_scratch_slots(std::min<std::size_t>(
-        kMaxMaterializeScratchSlots,
-        std::max<std::size_t>(kMinMaterializeScratchSlots, slots)));
+    set_materialize_scratch_slots(std::clamp<std::size_t>(
+        16 * agents_.size(), kMinMaterializeScratchSlots,
+        kMaxMaterializeScratchSlots));
   }
 }
 
@@ -500,20 +486,8 @@ void Engine::route_message(net::Message message) {
       obs::add(om.serialize_messages);
     }
   };
-  // A dropped message — uniform loss or a partition cut — is recorded and
-  // its payload buffer recycled (main thread, between phases — the
-  // destination shard's pool is quiescent). Outer destinations skip the
-  // recycle: their shards live on another fragment.
-  const auto drop = [&](net::Message&& m) {
-    traffic_.record_dropped(protocol);
-    if (auto* view = std::get_if<net::ViewPayload>(&m.payload)) {
-      if (fragments_ == 1 || owns(m.to)) {
-        shard_for(m.to).descriptor_pool.recycle(std::move(view->view));
-      }
-    }
-  };
   if (config_.network.loss_rate > 0.0 && mrng.bernoulli(config_.network.loss_rate)) {
-    drop(std::move(message));
+    traffic_.record_dropped(protocol);
     return;
   }
   // Regional partition episode (scenario engine): cross-region messages
@@ -525,7 +499,7 @@ void Engine::route_message(net::Message message) {
           (message.to < config_.network.partition_nodes)) {
     if (config_.network.partition_cross_loss >= 1.0 ||
         mrng.bernoulli(config_.network.partition_cross_loss)) {
-      drop(std::move(message));
+      traffic_.record_dropped(protocol);
       return;
     }
   }
@@ -537,7 +511,7 @@ void Engine::route_message(net::Message message) {
     const bool bad = link_bad(message.from, message.to);
     const double p = bad ? config_.network.burst.loss_bad : config_.network.burst.loss_good;
     if (p > 0.0 && mrng.bernoulli(p)) {
-      drop(std::move(message));
+      traffic_.record_dropped(protocol);
       return;
     }
   }
@@ -746,15 +720,6 @@ void Engine::deliver_shard(Shard& shard) {
     }
     i = j;
   }
-  // Harvest the payload storage of every message in the batch — processed,
-  // overflow-dropped, or addressed to an offline node alike — back into
-  // this shard's pool. The recycle clears each vector, releasing its
-  // descriptor snapshots at the same point the batch clear below used to.
-  for (net::Message& m : batch) {
-    if (auto* view = std::get_if<net::ViewPayload>(&m.payload)) {
-      shard.descriptor_pool.recycle(std::move(view->view));
-    }
-  }
   const std::size_t delivered = shard.delivery_batch.size();
   shard.delivery_batch.clear();
   trim_spare_capacity(shard.delivery_batch, delivered);
@@ -765,18 +730,6 @@ void Engine::deliver_shard(Shard& shard) {
     obs::add(om.delivered, delivered);
     obs::observe(om.shard_deliver, obs::now_ns() - obs_t0);
   }
-}
-
-Engine::PoolStats Engine::descriptor_pool_stats() const {
-  PoolStats total;
-  for (const auto& shard : shards_) {
-    const DescriptorBufferPool::Stats& s = shard->descriptor_pool.stats();
-    total.reused += s.reused;
-    total.fresh += s.fresh;
-    total.recycled += s.recycled;
-    total.available += shard->descriptor_pool.available();
-  }
-  return total;
 }
 
 Engine::MemoryStats Engine::memory_stats() const {
@@ -796,7 +749,6 @@ Engine::MemoryStats Engine::memory_stats() const {
     }
     total.outbox_bytes += shard->outbox.capacity() * sizeof(net::Message);
     for (const net::Message& m : shard->outbox) total.payload_bytes += payload_heap(m);
-    total.pool_bytes += shard->descriptor_pool.memory_bytes();
     total.scratch_bytes +=
         shard->delivery_batch.capacity() * sizeof(net::Message) +
         shard->delivery_order.capacity() * sizeof(std::uint32_t);

@@ -167,8 +167,7 @@ void WhatsUpAgent::handle_rejoin_request(sim::Context& ctx,
   reply.sender = net::make_descriptor(
       self_, ctx.now(),
       config_.obfuscation.enabled() ? disclosed(ctx.now()) : profile_);
-  reply.view = ctx.acquire_descriptor_buffer();
-  for (const net::Descriptor& d : rps_.view().entries()) reply.view.push_back(d);
+  reply.view = rps_.view().entries();
   ctx.send(payload.sender.node, net::MsgType::kRejoinReply, std::move(reply));
   // Absorb the joiner so gossip re-spreads its descriptor quickly.
   std::vector<net::Descriptor> joiner;

@@ -1,5 +1,5 @@
 // Property tests for the profile stat caches (norm / liked_count /
-// version), the snapshot + similarity caches built on top of them, and the
+// version), the snapshot cache built on top of them, and the
 // obfuscated-profile cache. The contract under test: cached values are
 // indistinguishable — bit-for-bit — from recomputing everything from
 // scratch, after ARBITRARY sequences of set / fold / fold_profile /
@@ -156,29 +156,6 @@ TEST(SnapshotCache, EmptyProfilesShareOneSnapshot) {
   const Profile empty_a, empty_b;
   EXPECT_EQ(cache_a.get(empty_a).record(), cache_b.get(empty_b).record());
   EXPECT_EQ(cache_a.get(empty_a).record(), empty_profile_handle().record());
-}
-
-TEST(SimilarityMemo, MatchesDirectSimilarityThroughMutations) {
-  Rng rng(9);
-  SimilarityMemo memo;
-  Profile subject = random_profile(rng, 20, 60);
-  std::vector<Profile> candidates;
-  for (NodeId v = 0; v < 8; ++v) candidates.push_back(random_profile(rng, 20, 60));
-  for (int round = 0; round < 50; ++round) {
-    for (NodeId v = 0; v < candidates.size(); ++v) {
-      for (const Metric metric : {Metric::kWup, Metric::kCosine, Metric::kJaccard}) {
-        EXPECT_EQ(memo.score(metric, subject, v, candidates[v]),
-                  similarity(metric, subject, candidates[v]));
-      }
-    }
-    // Mutate someone: the memo must pick up the change on the next query.
-    if (rng.bernoulli(0.3)) {
-      subject.set(rng.index(60) + 1, 0, rng.bernoulli(0.5) ? 1.0 : 0.0);
-    } else {
-      candidates[rng.index(candidates.size())].set(rng.index(60) + 1, 0,
-                                                   rng.bernoulli(0.5) ? 1.0 : 0.0);
-    }
-  }
 }
 
 TEST(ObfuscationCache, MatchesDirectObfuscation) {

@@ -1,8 +1,7 @@
 // Equivalence tests for the top-K view selection: View::assign_closest
 // replaced the seed's shuffle + stable_sort with shuffle + nth_element +
 // bounded sort. Under identical RNG streams the kept members — and their
-// order — must be exactly what the seed implementation produced, with and
-// without the similarity memo.
+// order — must be exactly what the seed implementation produced.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -65,23 +64,13 @@ TEST(TopKSelect, MatchesSeedSortUnderFixedSeeds) {
           random_profile(setup, setup.index(30), 80)));
     }
     // Identical RNG streams for reference and implementation.
-    Rng rng_ref(seed), rng_new(seed), rng_memo(seed);
+    Rng rng_ref(seed), rng_new(seed);
     const auto expected =
         seed_assign_closest(candidates, own, Metric::kWup, rng_ref, capacity);
 
     View view(capacity);
     view.assign_closest(candidates, own, Metric::kWup, rng_new);
     expect_same_members(view, expected);
-
-    SimilarityMemo memo;
-    View view_memo(capacity);
-    view_memo.assign_closest(candidates, own, Metric::kWup, rng_memo, &memo);
-    expect_same_members(view_memo, expected);
-    // Memoized rerun (warm memo, fresh rng): still identical.
-    Rng rng_warm(seed);
-    View view_warm(capacity);
-    view_warm.assign_closest(candidates, own, Metric::kWup, rng_warm, &memo);
-    expect_same_members(view_warm, expected);
   }
 }
 

@@ -180,14 +180,6 @@ TEST(Tracker, CompactionFreezesOnlyAfterSettleWindow) {
   EXPECT_EQ(tracker.reached(0).count(), 40u);
 }
 
-TEST(Tracker, CompactionDisabledNeverFreezes) {
-  Tracker tracker(100000, 1);
-  tracker.set_compaction(false);
-  for (NodeId u = 0; u < 40; ++u) tracker.on_delivery(u * 50, 0, 1, false, 0);
-  tracker.compact_settled(1000);
-  EXPECT_EQ(tracker.frozen_sets(), 0u);
-}
-
 TEST(Tracker, LateDeliveryThawsAndStaysCorrect) {
   Tracker tracker(100000, 1);
   for (NodeId u = 0; u < 40; ++u) tracker.on_delivery(u * 50, 0, 1, false, 0);
@@ -224,7 +216,6 @@ TEST(Tracker, DigestIdenticalWithCompactionOnAndOff) {
     return digests;
   };
   Tracker with(100000, 2), without(100000, 2);
-  without.set_compaction(false);
   EXPECT_EQ(feed(with, true), feed(without, false));
   EXPECT_GT(with.frozen_sets(), 0u) << "the compacted run really froze sets";
   EXPECT_EQ(without.frozen_sets(), 0u);
