@@ -62,18 +62,13 @@ struct Descriptor {
 
   Cycle timestamp() const { return entry_.timestamp(); }
   bool has_profile() const { return entry_.has_profile(); }
-  // Snapshot header reads that do NOT decode — the wire-size model and the
-  // similarity memo key off these.
+  // Snapshot entry count, read without decoding (the wire-size model).
   std::size_t profile_size() const { return entry_.profile_size(); }
-  std::uint64_t profile_version() const { return entry_.profile_version(); }
   // Retained handle on the snapshot (cold paths; null if !has_profile()).
   ProfileHandle profile() const { return entry_.profile(); }
   // Decoded SoA view of the snapshot (thread-local scratch; see
   // ProfileHandle::materialize for the lifetime contract).
   const Profile& profile_ref() const { return entry_.materialize(); }
-  // The shared (timestamp, snapshot) generation record itself — the memo
-  // overload and caches key off it without touching refcounts.
-  const DescriptorRef& stamp() const { return entry_; }
 
  private:
   DescriptorRef entry_;

@@ -12,7 +12,7 @@
 //    1-bit-per-entry mask for binary score vectors, raw doubles otherwise);
 //    the receiver re-encodes them into its own intern table. Version
 //    stamps are deliberately NOT shipped — they are process-local counters
-//    and only affect memo hit rates, never behavior, which is what keeps
+//    and only affect cache hit rates, never behavior, which is what keeps
 //    fixed-seed trajectories bit-identical across partition counts.
 //  * every numeric field is a varint / zigzag varint; doubles are 8-byte
 //    little-endian bit patterns (exact round-trip — scores feed similarity

@@ -3,9 +3,9 @@
 // `Snapshot` is the one reporting path for run-level numbers: the merged
 // stats registry plus the pre-existing one-off sources absorbed as gauges
 // (`Engine::memory_stats()`, `Tracker::resident_bytes()`,
-// `SnapshotArena::stats()`). Consumers — the
-// `--stats-json` writer, the WHATSUP_MEM_STATS dump, run_bench.sh's stats
-// summary — all read the same structure.
+// `SnapshotArena::stats()`). Consumers — the `--stats-json` writer, the
+// WHATSUP_MEM_STATS dump, run_bench.sh's stats summary — all read the
+// same structure.
 //
 // `RunOptions` carries the observability knobs through `RunConfig` into
 // `run_protocol`: a stderr heartbeat every N cycles and per-cycle registry

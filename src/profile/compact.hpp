@@ -137,9 +137,9 @@ class CompactProfile {
 // the profile snapshot it shipped. Every copy of the descriptor (views,
 // in-flight messages, merge buffers) shares one record by refcount, so the
 // per-copy cost is the 4-byte index, not the record. The snapshot's header
-// fields the hot paths poll — version (similarity-memo key) and entry
+// fields the hot paths poll — version (materialize-scratch key) and entry
 // count (wire-size model) — are denormalized into the record at creation
-// (both immutable on the blob), so a memo probe or size query costs one
+// (both immutable on the blob), so a scratch probe or size query costs one
 // slab lookup instead of chasing stamp → blob across chunks.
 struct StampRecord {
   mutable std::atomic<std::uint32_t> refs{1};
@@ -335,8 +335,8 @@ class ProfileHandle {
   // materialize() — hold at most one at a time.
   const Profile& materialize() const;
 
-  // Header reads that do NOT decode — the wire-size model and the memo key
-  // off these.
+  // Header reads that do NOT decode — the wire-size model and the
+  // materialize scratch key off these.
   std::size_t size() const;
   bool empty() const { return size() == 0; }
   std::uint64_t version() const;
