@@ -110,5 +110,20 @@ TEST(Golden, PlanetLabFaultsWithReliabilityAndHygiene) {
   EXPECT_EQ(fingerprint(result.cycle_digests), "66f99952528dfbee");
 }
 
+// The same stack over the ModelNet fault preset (rare short loss bursts,
+// duplicates and reordering on the cluster network), at 120 users.
+TEST(Golden, ModelNetFaultsWithReliabilityAndHygiene) {
+  const data::Workload workload = analysis::standard_workload("survey", kSeed, kScale);
+  analysis::RunConfig config = scenario_config();
+  config.network = net::NetworkConfig::modelnet_faults();
+  config.reliability.enabled = true;
+  config.view_hygiene.max_age = 20;
+  config.view_hygiene.suspicion_limit = 2;
+
+  const analysis::RunResult result = analysis::run_protocol(workload, config);
+  EXPECT_EQ(result.cycle_digests.size(), 67u);
+  EXPECT_EQ(fingerprint(result.cycle_digests), "252e839769e0552d");
+}
+
 }  // namespace
 }  // namespace whatsup
