@@ -2,6 +2,7 @@
 #pragma once
 
 #include <cstdint>
+#include <cstdlib>
 #include <iostream>
 
 #include "common/flags.hpp"
@@ -17,6 +18,7 @@ struct BenchOptions {
 
 // Parses the common flags; `default_scale` is per-binary (sized so the
 // whole bench directory sweeps in minutes; --scale=1 is paper scale).
+// An unknown flag exits with status 2.
 inline BenchOptions parse_options(int argc, char** argv, double default_scale,
                                   int default_trials = 1) {
   Flags flags(argc, argv);
@@ -28,9 +30,7 @@ inline BenchOptions parse_options(int argc, char** argv, double default_scale,
   options.trials = static_cast<int>(flags.get_int("trials", default_trials,
                                                   "number of seeds averaged"));
   options.help = flags.maybe_print_help(std::cout);
-  for (const auto& unknown : flags.unknown_flags()) {
-    std::cerr << "warning: unknown flag --" << unknown << "\n";
-  }
+  if (!options.help && flags.reject_unknown(std::cerr)) std::exit(2);
   return options;
 }
 

@@ -293,13 +293,14 @@ BENCHMARK(BM_MergeCandidates);
 void BM_LargestScc(benchmark::State& state) {
   Rng rng(6);
   const auto n = static_cast<std::size_t>(state.range(0));
-  graph::Digraph g(n);
   // Overlay-like digraph: 20 random out-edges per node.
+  std::vector<std::pair<NodeId, NodeId>> edges;
   for (NodeId v = 0; v < n; ++v) {
     for (int e = 0; e < 20; ++e) {
-      g.add_edge(v, static_cast<NodeId>(rng.index(n)));
+      edges.emplace_back(v, static_cast<NodeId>(rng.index(n)));
     }
   }
+  const graph::StaticGraph g = graph::StaticGraph::from_edges(n, edges);
   for (auto _ : state) {
     benchmark::DoNotOptimize(graph::largest_scc_fraction(g));
   }

@@ -1,19 +1,17 @@
 #!/usr/bin/env bash
-# Runs the perf-tracking benchmarks (micro kernels + macro simulation) and
-# writes a merged BENCH_micro.json at the repo root, so every PR leaves a
-# perf trajectory behind.
+# Runs the kernel benchmarks (micro_primitives) and writes
+# BENCH_micro.json at the repo root, so every PR leaves a perf trajectory
+# behind. End-to-end numbers come from bench/e2e/run.py instead.
 #
 #   bench/run_bench.sh [output.json]
 #
 # Environment:
 #   BUILD_DIR     build tree with bench binaries (default: build; configure
 #                 with -DWHATSUP_BENCH=ON)
-#   MICRO_FILTER  --benchmark_filter for micro_primitives (default: all)
-#   MACRO_FILTER  --benchmark_filter for macro_sim        (default: all)
+#   MICRO_FILTER  --benchmark_filter for micro_primitives (default: all).
+#                 A filtered run into an existing output file replaces the
+#                 re-run rows by name and keeps every other row.
 #   MIN_TIME      --benchmark_min_time per micro benchmark (default: 0.5)
-#   SCENARIO      .scn spec forwarded to macro_sim's custom row
-#                 (--scenario; adds a BM_WhatsUpSim_Custom row at 500
-#                 nodes under the timeline — see scenarios/)
 #   ALLOW_DEBUG   set to 1 to record from a non-Release build tree and/or a
 #                 non-release benchmark LIBRARY anyway (the JSON keeps both
 #                 stamps in context: "build_type" for the tree and the
@@ -26,16 +24,13 @@ cd "$(dirname "$0")/.."
 BUILD_DIR=${BUILD_DIR:-build}
 OUT=${1:-BENCH_micro.json}
 MICRO_FILTER=${MICRO_FILTER:-.}
-MACRO_FILTER=${MACRO_FILTER:-.}
 MIN_TIME=${MIN_TIME:-0.5}
 ALLOW_DEBUG=${ALLOW_DEBUG:-0}
 
-for bin in micro_primitives macro_sim; do
-  if [[ ! -x "$BUILD_DIR/$bin" ]]; then
-    echo "error: $BUILD_DIR/$bin not found — configure with -DWHATSUP_BENCH=ON" >&2
-    exit 1
-  fi
-done
+if [[ ! -x "$BUILD_DIR/micro_primitives" ]]; then
+  echo "error: $BUILD_DIR/micro_primitives not found — configure with -DWHATSUP_BENCH=ON" >&2
+  exit 1
+fi
 
 # CMake stamps the configured build type into the tree (see CMakeLists.txt).
 BUILD_TYPE=unknown
@@ -81,33 +76,25 @@ if [[ "$LIB_BUILD_TYPE" != "release" ]]; then
   echo "warning: benchmark library_build_type='$LIB_BUILD_TYPE' (ALLOW_DEBUG=1)" >&2
 fi
 
-"$BUILD_DIR/macro_sim" \
-  ${SCENARIO:+--scenario="$SCENARIO"} \
-  --benchmark_filter="$MACRO_FILTER" \
-  --benchmark_out="$tmp/macro.json" --benchmark_out_format=json
-
-# One short instrumented run (src/obs/ registry) so every baseline carries
-# a protocol-level stats summary next to the timing rows: what the
-# simulation DID (messages delivered/routed, retransmits, scratch hit
-# rate), not just how fast it did it. Untimed — telemetry rides a separate
-# custom row and never touches the rows above.
-"$BUILD_DIR/macro_sim" --nodes=500 --items=30 --cycles=60 \
-  --benchmark_filter=BM_WhatsUpSim_Custom --benchmark_min_time=0.01 \
-  --stats-json="$tmp/stats.json" \
-  --benchmark_out="$tmp/stats_row.json" --benchmark_out_format=json >/dev/null
-
-python3 - "$tmp/micro.json" "$tmp/macro.json" "$OUT" "$BUILD_TYPE" \
-  "$ALLOW_DEBUG" "$LIB_BUILD_TYPE" "$tmp/stats.json" <<'EOF'
+python3 - "$tmp/micro.json" "$OUT" "$BUILD_TYPE" "$ALLOW_DEBUG" \
+  "$LIB_BUILD_TYPE" "$MICRO_FILTER" <<'EOF'
 import json
+import os
 import sys
 
-(micro_path, macro_path, out_path, build_type,
- allow_debug, lib_build_type, stats_path) = sys.argv[1:8]
+(micro_path, out_path, build_type, allow_debug, lib_build_type,
+ micro_filter) = sys.argv[1:7]
 with open(micro_path) as f:
     merged = json.load(f)
-with open(macro_path) as f:
-    macro = json.load(f)
-merged["benchmarks"].extend(macro["benchmarks"])
+# A filtered run refreshes only its own rows: keep every other row of an
+# existing baseline, in its original order, and replace re-run rows by name.
+# An unfiltered run rewrites the file, so deleted benchmarks drop out.
+if micro_filter != "." and os.path.exists(out_path):
+    with open(out_path) as f:
+        previous = json.load(f)["benchmarks"]
+    fresh = {b["name"]: b for b in merged["benchmarks"]}
+    rows = [fresh.pop(b["name"], b) for b in previous]
+    merged["benchmarks"] = rows + list(fresh.values())
 context = merged.setdefault("context", {})
 context["build_type"] = build_type
 # Make any guard bypass visible IN the committed artifact, not just on the
@@ -117,44 +104,9 @@ context["build_type"] = build_type
 context["allow_debug"] = allow_debug == "1"
 context["library_build_type"] = lib_build_type
 
-# Attach the protocol stats summary (headline counters from the
-# instrumented run; the full per-cycle series stays out of the baseline).
-try:
-    with open(stats_path) as f:
-        final = json.load(f)["final"]["metrics"]
-    def scalar(name):
-        v = final.get(name, 0)
-        return v.get("count", 0) if isinstance(v, dict) else v
-    summary = {
-        name: scalar(name)
-        for name in (
-            "engine.cycles", "engine.deliver.messages", "engine.route.messages",
-            "engine.deliver.overflow_dropped", "relia.retransmits",
-            "relia.dedup.repeats", "profile.scratch.hits", "profile.scratch.misses",
-            "tracker.resident_bytes", "engine.mem.total_bytes",
-        )
-    }
-    hits, misses = summary["profile.scratch.hits"], summary["profile.scratch.misses"]
-    if hits + misses:
-        summary["profile.scratch.hit_rate"] = round(hits / (hits + misses), 4)
-    merged["stats_summary"] = summary
-    print("  stats_summary:", json.dumps(summary))
-except (OSError, KeyError, json.JSONDecodeError) as e:
-    print(f"  warning: no stats summary attached ({e})", file=sys.stderr)
-
 with open(out_path, "w") as f:
     json.dump(merged, f, indent=2)
     f.write("\n")
-
-# Surface the memory counters of the macro rows. Each row resets the
-# process high-water mark before running (mem_isolated=1), so the numbers
-# are per-row peaks, not the sweep-wide maximum.
-for b in macro["benchmarks"]:
-    if "peak_rss_mb" in b:
-        print(
-            f"  {b['name']}: peak_rss={b['peak_rss_mb']:.1f} MiB, "
-            f"bytes/node={b.get('peak_bytes_per_node', 0):.0f}"
-        )
 EOF
 
 echo "wrote $OUT"

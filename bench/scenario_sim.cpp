@@ -83,6 +83,7 @@ int main(int argc, char** argv) {
   const std::string trace_path = flags.get_string(
       "trace", "", "write Chrome trace-event JSON of WUP_TRACE_SCOPE spans to FILE");
   if (flags.maybe_print_help(std::cout)) return 0;
+  if (flags.reject_unknown(std::cerr)) return 2;
   if (spec_path.empty()) {
     std::cerr << "error: --scenario <file.scn> is required (see scenarios/)\n";
     return 1;

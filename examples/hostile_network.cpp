@@ -24,6 +24,7 @@ int main(int argc, char** argv) {
   const std::string scn =
       flags.get_string("scenario", "scenarios/planetlab.scn", "scenario spec file");
   if (flags.maybe_print_help(std::cout)) return 0;
+  if (flags.reject_unknown(std::cerr)) return 2;
 
   const data::Workload workload = analysis::standard_workload("survey", seed, 0.5);
   const scenario::Timeline timeline = scenario::parse_file(scn);

@@ -21,6 +21,7 @@ int main(int argc, char** argv) {
   const auto threads = static_cast<unsigned>(
       flags.get_int("threads", 0, "engine worker threads (0 = hardware concurrency)"));
   if (flags.maybe_print_help(std::cout)) return 0;
+  if (flags.reject_unknown(std::cerr)) return 2;
 
   // 1. A workload: who likes what, who publishes what, and when.
   const data::Workload workload = analysis::standard_workload("survey", seed, scale);

@@ -90,8 +90,8 @@ std::span<const net::Descriptor> overlay_view(const sim::Agent& agent,
 // edges straight out of every agent into the pre-reserved edge slab —
 // degree count, fill and per-row dedupe all run over disjoint node ranges
 // on the engine's worker pool, and no intermediate adjacency-list graph
-// is ever materialized (the old Digraph path cost one heap block per node
-// plus a full resort on dedupe, all on the main thread).
+// is ever materialized (an adjacency-list graph would cost one heap block
+// per node plus a full resort on dedupe, all on the main thread).
 graph::StaticGraph overlay_graph(sim::Engine& engine, Approach approach,
                                  const data::Workload& workload) {
   const std::size_t n = engine.num_nodes();

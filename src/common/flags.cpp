@@ -82,4 +82,10 @@ std::vector<std::string> Flags::unknown_flags() const {
   return unknown;
 }
 
+bool Flags::reject_unknown(std::ostream& os) const {
+  const std::vector<std::string> unknown = unknown_flags();
+  for (const std::string& name : unknown) os << "error: unknown flag --" << name << '\n';
+  return !unknown.empty();
+}
+
 }  // namespace whatsup

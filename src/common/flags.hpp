@@ -4,6 +4,7 @@
 #pragma once
 
 #include <cstdint>
+#include <iosfwd>
 #include <map>
 #include <string>
 #include <vector>
@@ -27,6 +28,9 @@ class Flags {
   bool maybe_print_help(std::ostream& os) const;
   // Flags supplied on the command line that were never looked up.
   std::vector<std::string> unknown_flags() const;
+  // Prints "error: unknown flag --x" for each of unknown_flags(); returns
+  // true if there was any (callers exit non-zero). Call after every lookup.
+  bool reject_unknown(std::ostream& os) const;
 
  private:
   struct Registered {

@@ -3,8 +3,6 @@
 #include <algorithm>
 #include <vector>
 
-#include "graph/static_graph.hpp"
-
 namespace whatsup::graph {
 
 namespace {
@@ -33,12 +31,6 @@ double avg_local_clustering_rows(std::size_t n, const RowFn& rows) {
   return counted > 0 ? total / static_cast<double>(counted) : 0.0;
 }
 
-double avg_local_clustering(const std::vector<std::vector<NodeId>>& adj) {
-  // Adjacency lists must be sorted and deduplicated before this call.
-  return avg_local_clustering_rows(
-      adj.size(), [&adj](NodeId v) -> std::span<const NodeId> { return adj[v]; });
-}
-
 // Undirected closure of a CSR digraph, as another CSR: an edge exists if
 // it exists in either direction. Two-pass (symmetric degree count, fill),
 // then per-row sort+unique via the builder.
@@ -64,22 +56,6 @@ StaticGraph undirected_closure(const StaticGraph& g) {
 
 }  // namespace
 
-double avg_clustering_coefficient(const Digraph& g) {
-  // Build the undirected closure with sorted unique adjacency.
-  std::vector<std::vector<NodeId>> adj(g.num_nodes());
-  for (NodeId v = 0; v < g.num_nodes(); ++v) {
-    for (NodeId w : g.out(v)) {
-      adj[v].push_back(w);
-      adj[w].push_back(v);
-    }
-  }
-  for (auto& nbrs : adj) {
-    std::sort(nbrs.begin(), nbrs.end());
-    nbrs.erase(std::unique(nbrs.begin(), nbrs.end()), nbrs.end());
-  }
-  return avg_local_clustering(adj);
-}
-
 double avg_clustering_coefficient(const StaticGraph& g) {
   const StaticGraph closure = undirected_closure(g);
   return avg_local_clustering_rows(
@@ -93,7 +69,8 @@ double avg_clustering_coefficient(const UGraph& g) {
     adj[v].assign(nbrs.begin(), nbrs.end());
     std::sort(adj[v].begin(), adj[v].end());
   }
-  return avg_local_clustering(adj);
+  return avg_local_clustering_rows(
+      adj.size(), [&adj](NodeId v) -> std::span<const NodeId> { return adj[v]; });
 }
 
 }  // namespace whatsup::graph

@@ -3,16 +3,13 @@
 // WUP metric avoids concentrating nodes around hubs.
 #pragma once
 
-#include "graph/digraph.hpp"
+#include "graph/static_graph.hpp"
 #include "graph/ugraph.hpp"
 
 namespace whatsup::graph {
 
-class StaticGraph;
-
 // Average local clustering coefficient of the undirected closure of `g`
 // (an edge exists if it exists in either direction).
-double avg_clustering_coefficient(const Digraph& g);
 double avg_clustering_coefficient(const StaticGraph& g);
 double avg_clustering_coefficient(const UGraph& g);
 

@@ -1,9 +1,6 @@
 #include "graph/components.hpp"
 
 #include <algorithm>
-#include <queue>
-
-#include "graph/static_graph.hpp"
 
 namespace whatsup::graph {
 
@@ -48,23 +45,13 @@ ComponentsResult label_from_sets(DisjointSets& sets, std::size_t n) {
 
 }  // namespace
 
-// Both digraph representations expose num_nodes()/out(v); edge direction
-// is irrelevant for weak connectivity.
-template <typename G>
-ComponentsResult weak_components_impl(const G& g) {
+// Edge direction is irrelevant for weak connectivity.
+ComponentsResult weak_components(const StaticGraph& g) {
   DisjointSets sets(g.num_nodes());
   for (NodeId v = 0; v < g.num_nodes(); ++v) {
     for (NodeId w : g.out(v)) sets.unite(v, w);
   }
   return label_from_sets(sets, g.num_nodes());
-}
-
-ComponentsResult weak_components(const Digraph& g) {
-  return weak_components_impl(g);
-}
-
-ComponentsResult weak_components(const StaticGraph& g) {
-  return weak_components_impl(g);
 }
 
 ComponentsResult connected_components(const UGraph& g) {
@@ -73,25 +60,6 @@ ComponentsResult connected_components(const UGraph& g) {
     for (NodeId w : g.neighbors(v)) sets.unite(v, w);
   }
   return label_from_sets(sets, g.num_nodes());
-}
-
-std::vector<int> bfs_hops(const Digraph& g, NodeId source) {
-  std::vector<int> dist(g.num_nodes(), -1);
-  if (source >= g.num_nodes()) return dist;
-  std::queue<NodeId> frontier;
-  dist[source] = 0;
-  frontier.push(source);
-  while (!frontier.empty()) {
-    const NodeId v = frontier.front();
-    frontier.pop();
-    for (NodeId w : g.out(v)) {
-      if (dist[w] < 0) {
-        dist[w] = dist[v] + 1;
-        frontier.push(w);
-      }
-    }
-  }
-  return dist;
 }
 
 }  // namespace whatsup::graph

@@ -5,12 +5,10 @@
 #include <cstddef>
 #include <vector>
 
-#include "graph/digraph.hpp"
+#include "graph/static_graph.hpp"
 #include "graph/ugraph.hpp"
 
 namespace whatsup::graph {
-
-class StaticGraph;
 
 struct ComponentsResult {
   std::vector<int> component;
@@ -18,12 +16,7 @@ struct ComponentsResult {
   std::size_t largest = 0;
 };
 
-ComponentsResult weak_components(const Digraph& g);
 ComponentsResult weak_components(const StaticGraph& g);
 ComponentsResult connected_components(const UGraph& g);
-
-// Hop distance from `source` to every node (BFS over out-edges);
-// unreachable nodes get -1.
-std::vector<int> bfs_hops(const Digraph& g, NodeId source);
 
 }  // namespace whatsup::graph

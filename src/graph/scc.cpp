@@ -2,17 +2,10 @@
 
 #include <algorithm>
 
-#include "graph/static_graph.hpp"
-
 namespace whatsup::graph {
 
-namespace {
-
-// Iterative Tarjan to avoid deep recursion on large overlays. Templated
-// over the adjacency representation: Digraph (vector-of-vectors) and the
-// CSR StaticGraph expose the same num_nodes()/out(v) surface.
-template <typename G>
-SccResult tarjan(const G& g) {
+// Iterative Tarjan to avoid deep recursion on large overlays.
+SccResult strongly_connected_components(const StaticGraph& g) {
   const std::size_t n = g.num_nodes();
   SccResult result;
   result.component.assign(n, -1);
@@ -78,19 +71,10 @@ SccResult tarjan(const G& g) {
   return result;
 }
 
-template <typename G>
-double largest_fraction(const G& g) {
+double largest_scc_fraction(const StaticGraph& g) {
   if (g.num_nodes() == 0) return 0.0;
-  return static_cast<double>(tarjan(g).largest) /
+  return static_cast<double>(strongly_connected_components(g).largest) /
          static_cast<double>(g.num_nodes());
 }
-
-}  // namespace
-
-SccResult strongly_connected_components(const Digraph& g) { return tarjan(g); }
-SccResult strongly_connected_components(const StaticGraph& g) { return tarjan(g); }
-
-double largest_scc_fraction(const Digraph& g) { return largest_fraction(g); }
-double largest_scc_fraction(const StaticGraph& g) { return largest_fraction(g); }
 
 }  // namespace whatsup::graph

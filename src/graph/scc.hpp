@@ -1,17 +1,13 @@
 // Strongly connected components (iterative Tarjan). Used to reproduce
 // Fig. 4: the fraction of nodes in the largest SCC of the WUP overlay.
-// Overloads cover both graph representations: the adjacency-list Digraph
-// and the CSR StaticGraph the scale-out overlay collection builds.
 #pragma once
 
 #include <cstddef>
 #include <vector>
 
-#include "graph/digraph.hpp"
+#include "graph/static_graph.hpp"
 
 namespace whatsup::graph {
-
-class StaticGraph;
 
 struct SccResult {
   std::vector<int> component;  // component id per node, -1 never occurs
@@ -19,11 +15,9 @@ struct SccResult {
   std::size_t largest = 0;     // size of the largest component
 };
 
-SccResult strongly_connected_components(const Digraph& g);
 SccResult strongly_connected_components(const StaticGraph& g);
 
 // |largest SCC| / |V| — 0 for the empty graph.
-double largest_scc_fraction(const Digraph& g);
 double largest_scc_fraction(const StaticGraph& g);
 
 }  // namespace whatsup::graph

@@ -56,14 +56,17 @@ StaticGraph StaticGraph::Builder::build() {
   return g;
 }
 
-StaticGraph StaticGraph::from_digraph(const Digraph& g) {
-  const std::size_t n = g.num_nodes();
-  Builder b(n);
-  for (NodeId v = 0; v < n; ++v) b.set_degree(v, g.out(v).size());
-  b.finish_degrees();
-  for (NodeId v = 0; v < n; ++v) {
-    for (const NodeId w : g.out(v)) b.add_edge(v, w);
+StaticGraph StaticGraph::from_edges(
+    std::size_t n, const std::vector<std::pair<NodeId, NodeId>>& edges) {
+  std::vector<std::size_t> degree(n, 0);
+  for (const auto& [v, w] : edges) {
+    assert(v < n && w < n);
+    ++degree[v];
   }
+  Builder b(n);
+  for (NodeId v = 0; v < n; ++v) b.set_degree(v, degree[v]);
+  b.finish_degrees();
+  for (const auto& [v, w] : edges) b.add_edge(v, w);
   b.dedupe_rows(0, static_cast<NodeId>(n));
   return b.build();
 }

@@ -1,9 +1,10 @@
-// Immutable CSR digraph for overlay analysis at scale.
+// Immutable CSR digraph for overlay analysis at scale (WUP views form a
+// digraph: node -> members of its view).
 //
-// Digraph's vector<vector<NodeId>> costs one heap block plus vector header
-// per node and scatters adjacency across the allocator — at 100k+ nodes the
-// pointer-chasing dominates every traversal. StaticGraph keeps the whole
-// edge set in two flat arrays (offsets[n+1] + edges[m], the layout
+// An adjacency-list vector<vector<NodeId>> costs one heap block plus vector
+// header per node and scatters adjacency across the allocator — at 100k+
+// nodes the pointer-chasing dominates every traversal. StaticGraph keeps
+// the whole edge set in two flat arrays (offsets[n+1] + edges[m], the layout
 // libgrape-lite style graph engines use), built by the classic two-pass
 // degree-count / fill scheme. Both passes are safe to run concurrently
 // over disjoint node ranges, which is how analysis::overlay_graph streams
@@ -13,10 +14,10 @@
 
 #include <cstddef>
 #include <span>
+#include <utility>
 #include <vector>
 
 #include "common/ids.hpp"
-#include "graph/digraph.hpp"
 
 namespace whatsup::graph {
 
@@ -36,9 +37,10 @@ class StaticGraph {
     return offsets_[v + 1] - offsets_[v];
   }
 
-  // Adjacency-list interop (tests, small drivers). Rows end up sorted and
-  // deduplicated, like Digraph::dedupe.
-  static StaticGraph from_digraph(const Digraph& g);
+  // Builds from an edge list (tests, small drivers): self-loops are
+  // dropped, rows end up sorted and deduplicated.
+  static StaticGraph from_edges(
+      std::size_t n, const std::vector<std::pair<NodeId, NodeId>>& edges);
 
   // Two-pass builder.
   //
@@ -65,7 +67,7 @@ class StaticGraph {
     // between the passes.
     void finish_degrees();
     // Pass 2: append an out-edge of v. Self-loops are ignored (overlay
-    // semantics, matching Digraph::add_edge).
+    // semantics: a node never lists itself in its view).
     void add_edge(NodeId v, NodeId w);
     // Sorts and deduplicates the rows of nodes [lo, hi).
     void dedupe_rows(NodeId lo, NodeId hi);

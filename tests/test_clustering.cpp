@@ -37,17 +37,15 @@ TEST(Clustering, TriangleWithTail) {
   EXPECT_NEAR(avg_clustering_coefficient(g), (1.0 + 1.0 + 1.0 / 3.0) / 3.0, 1e-12);
 }
 
-TEST(Clustering, DigraphUsesUndirectedClosure) {
-  Digraph g(3);
-  g.add_edge(0, 1);
-  g.add_edge(1, 2);
-  g.add_edge(2, 0);  // directed 3-cycle closes into a triangle
+TEST(Clustering, DirectedGraphUsesUndirectedClosure) {
+  // A directed 3-cycle closes into a triangle.
+  const StaticGraph g = StaticGraph::from_edges(3, {{0, 1}, {1, 2}, {2, 0}});
   EXPECT_DOUBLE_EQ(avg_clustering_coefficient(g), 1.0);
 }
 
 TEST(Clustering, EmptyGraphIsZero) {
   EXPECT_DOUBLE_EQ(avg_clustering_coefficient(UGraph{}), 0.0);
-  EXPECT_DOUBLE_EQ(avg_clustering_coefficient(Digraph{}), 0.0);
+  EXPECT_DOUBLE_EQ(avg_clustering_coefficient(StaticGraph{}), 0.0);
 }
 
 }  // namespace

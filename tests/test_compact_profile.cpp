@@ -503,6 +503,10 @@ TEST(SnapshotArena, ThreadedContentInternAndSweepConverge) {
   Rng seed_rng(79);
   for (int i = 0; i < kProfiles; ++i) {
     profiles.push_back(random_profile(seed_rng, 10, 64, false));
+    // Warm the lazily cached norm before the profile is shared across
+    // threads, as production sharing sites do: norm() writes its cache on
+    // first call, and interning reads it.
+    (void)profiles.back().norm();
   }
   auto& arena = SnapshotArena::instance();
   std::atomic<bool> stop{false};

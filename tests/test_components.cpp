@@ -6,10 +6,8 @@ namespace whatsup::graph {
 namespace {
 
 TEST(WeakComponents, DirectionIgnored) {
-  Digraph g(5);
-  g.add_edge(0, 1);
-  g.add_edge(2, 1);  // 0,1,2 weakly connected
-  g.add_edge(3, 4);
+  // 0,1,2 weakly connected through 1.
+  const StaticGraph g = StaticGraph::from_edges(5, {{0, 1}, {2, 1}, {3, 4}});
   const auto result = weak_components(g);
   EXPECT_EQ(result.count, 2u);
   EXPECT_EQ(result.largest, 3u);
@@ -18,7 +16,7 @@ TEST(WeakComponents, DirectionIgnored) {
 }
 
 TEST(WeakComponents, AllIsolated) {
-  const auto result = weak_components(Digraph(4));
+  const auto result = weak_components(StaticGraph::from_edges(4, {}));
   EXPECT_EQ(result.count, 4u);
   EXPECT_EQ(result.largest, 1u);
 }
@@ -31,28 +29,6 @@ TEST(ConnectedComponents, UndirectedGraph) {
   const auto result = connected_components(g);
   EXPECT_EQ(result.count, 3u);  // {0,1,2}, {3}, {4,5}
   EXPECT_EQ(result.largest, 3u);
-}
-
-TEST(BfsHops, DistancesAndUnreachable) {
-  Digraph g(6);
-  g.add_edge(0, 1);
-  g.add_edge(1, 2);
-  g.add_edge(0, 3);
-  g.add_edge(3, 2);  // 2 reachable at distance 2 two ways
-  const auto dist = bfs_hops(g, 0);
-  EXPECT_EQ(dist[0], 0);
-  EXPECT_EQ(dist[1], 1);
-  EXPECT_EQ(dist[3], 1);
-  EXPECT_EQ(dist[2], 2);
-  EXPECT_EQ(dist[4], -1);
-  EXPECT_EQ(dist[5], -1);
-}
-
-TEST(BfsHops, InvalidSource) {
-  Digraph g(2);
-  const auto dist = bfs_hops(g, 99);
-  EXPECT_EQ(dist[0], -1);
-  EXPECT_EQ(dist[1], -1);
 }
 
 }  // namespace

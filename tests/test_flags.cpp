@@ -71,5 +71,19 @@ TEST(Flags, UnknownFlagsReported) {
   EXPECT_EQ(unknown[0], "typoed");
 }
 
+TEST(Flags, RejectUnknownPrintsEachAndReportsAny) {
+  Flags f = make_flags({"--known=1", "--typoed=2", "--other"});
+  f.get_int("known", 0);
+  std::ostringstream os;
+  EXPECT_TRUE(f.reject_unknown(os));
+  EXPECT_EQ(os.str(), "error: unknown flag --other\nerror: unknown flag --typoed\n");
+
+  Flags clean = make_flags({"--known=1"});
+  clean.get_int("known", 0);
+  std::ostringstream quiet;
+  EXPECT_FALSE(clean.reject_unknown(quiet));
+  EXPECT_TRUE(quiet.str().empty());
+}
+
 }  // namespace
 }  // namespace whatsup

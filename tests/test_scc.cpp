@@ -2,21 +2,19 @@
 
 #include <gtest/gtest.h>
 
-#include "common/rng.hpp"
-
 namespace whatsup::graph {
 namespace {
 
 TEST(Scc, EmptyGraph) {
-  const auto result = strongly_connected_components(Digraph{});
+  const auto result = strongly_connected_components(StaticGraph{});
   EXPECT_EQ(result.count, 0u);
   EXPECT_EQ(result.largest, 0u);
-  EXPECT_EQ(largest_scc_fraction(Digraph{}), 0.0);
+  EXPECT_EQ(largest_scc_fraction(StaticGraph{}), 0.0);
 }
 
 TEST(Scc, SingleCycleIsOneComponent) {
-  Digraph g(5);
-  for (NodeId v = 0; v < 5; ++v) g.add_edge(v, (v + 1) % 5);
+  const StaticGraph g =
+      StaticGraph::from_edges(5, {{0, 1}, {1, 2}, {2, 3}, {3, 4}, {4, 0}});
   const auto result = strongly_connected_components(g);
   EXPECT_EQ(result.count, 1u);
   EXPECT_EQ(result.largest, 5u);
@@ -24,10 +22,7 @@ TEST(Scc, SingleCycleIsOneComponent) {
 }
 
 TEST(Scc, DagHasSingletonComponents) {
-  Digraph g(4);
-  g.add_edge(0, 1);
-  g.add_edge(1, 2);
-  g.add_edge(2, 3);
+  const StaticGraph g = StaticGraph::from_edges(4, {{0, 1}, {1, 2}, {2, 3}});
   const auto result = strongly_connected_components(g);
   EXPECT_EQ(result.count, 4u);
   EXPECT_EQ(result.largest, 1u);
@@ -35,15 +30,9 @@ TEST(Scc, DagHasSingletonComponents) {
 }
 
 TEST(Scc, TwoCyclesJoinedByOneWayBridge) {
-  Digraph g(6);
   // Cycle A: 0-1-2, cycle B: 3-4-5, bridge 2 -> 3.
-  g.add_edge(0, 1);
-  g.add_edge(1, 2);
-  g.add_edge(2, 0);
-  g.add_edge(3, 4);
-  g.add_edge(4, 5);
-  g.add_edge(5, 3);
-  g.add_edge(2, 3);
+  const StaticGraph g = StaticGraph::from_edges(
+      6, {{0, 1}, {1, 2}, {2, 0}, {3, 4}, {4, 5}, {5, 3}, {2, 3}});
   const auto result = strongly_connected_components(g);
   EXPECT_EQ(result.count, 2u);
   EXPECT_EQ(result.largest, 3u);
@@ -55,24 +44,15 @@ TEST(Scc, TwoCyclesJoinedByOneWayBridge) {
 }
 
 TEST(Scc, BidirectionalBridgeMergesComponents) {
-  Digraph g(6);
-  g.add_edge(0, 1);
-  g.add_edge(1, 2);
-  g.add_edge(2, 0);
-  g.add_edge(3, 4);
-  g.add_edge(4, 5);
-  g.add_edge(5, 3);
-  g.add_edge(2, 3);
-  g.add_edge(3, 2);
+  const StaticGraph g = StaticGraph::from_edges(
+      6, {{0, 1}, {1, 2}, {2, 0}, {3, 4}, {4, 5}, {5, 3}, {2, 3}, {3, 2}});
   const auto result = strongly_connected_components(g);
   EXPECT_EQ(result.count, 1u);
   EXPECT_EQ(result.largest, 6u);
 }
 
 TEST(Scc, IsolatedNodesAreSingletons) {
-  Digraph g(3);
-  g.add_edge(0, 1);
-  g.add_edge(1, 0);
+  const StaticGraph g = StaticGraph::from_edges(3, {{0, 1}, {1, 0}});
   const auto result = strongly_connected_components(g);
   EXPECT_EQ(result.count, 2u);
   EXPECT_EQ(result.largest, 2u);
@@ -80,13 +60,13 @@ TEST(Scc, IsolatedNodesAreSingletons) {
 
 TEST(Scc, LargeRandomGraphTerminatesAndLabelsEveryone) {
   // Deep chains exercise the iterative Tarjan (no stack overflow).
-  Rng rng(7);
-  Digraph g(20000);
-  for (NodeId v = 0; v + 1 < 20000; ++v) g.add_edge(v, v + 1);
-  g.add_edge(19999, 0);  // giant cycle
-  const auto result = strongly_connected_components(g);
+  constexpr NodeId kN = 20000;
+  std::vector<std::pair<NodeId, NodeId>> edges;
+  for (NodeId v = 0; v + 1 < kN; ++v) edges.emplace_back(v, v + 1);
+  edges.emplace_back(kN - 1, 0);  // giant cycle
+  const auto result = strongly_connected_components(StaticGraph::from_edges(kN, edges));
   EXPECT_EQ(result.count, 1u);
-  EXPECT_EQ(result.largest, 20000u);
+  EXPECT_EQ(result.largest, kN);
 }
 
 }  // namespace
