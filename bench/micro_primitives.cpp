@@ -1,9 +1,12 @@
 // Microbenchmarks of the hot kernels in the WhatsUp stack: similarity
 // computation (the WUP clustering inner loop), view merges, item-profile
-// aggregation, and the SCC analysis used by Fig. 4.
+// aggregation, the engine's route + deliver message path, and the SCC
+// analysis used by Fig. 4.
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
 #include <atomic>
+#include <chrono>
 #include <cstdint>
 #include <cstdlib>
 #include <memory>
@@ -18,6 +21,7 @@
 #include "profile/item_profile.hpp"
 #include "profile/similarity.hpp"
 #include "profile/snapshot.hpp"
+#include "sim/engine.hpp"
 
 // Global operator-new hook counting heap allocations, so the payload
 // benchmarks can report `allocs_per_op` — the number the CoW + SBO work
@@ -306,6 +310,48 @@ void BM_LargestScc(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_LargestScc)->Arg(500)->Arg(3000);
+
+// Probe agent for the engine row: each activation sends kProbeSends acks
+// to uniformly random active peers; deliveries are counted and dropped.
+constexpr int kProbeSends = 4;
+
+class ProbeAgent final : public sim::Agent {
+ public:
+  explicit ProbeAgent(std::uint64_t* delivered) : delivered_(delivered) {}
+  void on_cycle(sim::Context& ctx) override {
+    for (int i = 0; i < kProbeSends; ++i) {
+      ctx.send(ctx.random_active_peer(), net::MsgType::kAck, net::AckPayload{});
+    }
+  }
+  void on_message(sim::Context&, const net::Message&) override { ++*delivered_; }
+  void publish(sim::Context&, ItemIdx, ItemId) override {}
+
+ private:
+  std::uint64_t* delivered_;
+};
+
+// The engine's message path on one thread: every cycle routes each sent
+// message through the network model into a mailbox ring at the barrier,
+// then delivers it in the next cycle's deliver phase. Reports wall ns per
+// message delivered (each one was also routed and committed).
+void BM_EngineRouteDeliver(benchmark::State& state) {
+  const auto n = static_cast<std::size_t>(state.range(0));
+  std::uint64_t delivered = 0;
+  sim::Engine engine(sim::Engine::Config{});
+  engine.bootstrap(n, [&delivered](NodeId, Rng&) {
+    return std::make_unique<ProbeAgent>(&delivered);
+  });
+  engine.run_cycles(3);  // rings and outboxes reach their steady size
+  delivered = 0;
+  const auto t0 = std::chrono::steady_clock::now();
+  for (auto _ : state) engine.run_cycle();
+  const auto elapsed = std::chrono::duration<double, std::nano>(
+      std::chrono::steady_clock::now() - t0);
+  state.counters["ns_per_msg"] =
+      elapsed.count() / static_cast<double>(std::max<std::uint64_t>(delivered, 1));
+  state.SetItemsProcessed(static_cast<std::int64_t>(delivered));
+}
+BENCHMARK(BM_EngineRouteDeliver)->Arg(500)->Arg(10000);
 
 }  // namespace
 }  // namespace whatsup
