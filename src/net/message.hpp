@@ -134,6 +134,9 @@ struct AckPayload {
   int hop = 0;
 };
 
+// Any message body; Message::payload holds exactly one.
+using Payload = std::variant<ViewPayload, NewsPayload, AckPayload>;
+
 // The envelope. Header fields are ordered to pack into 16 bytes; with the
 // 32-byte payload alternatives the whole envelope is 56 bytes (88 before
 // the PR 8 field reordering, 64 before the 8-byte descriptor packing and
@@ -144,15 +147,15 @@ struct Message {
   NodeId from = kNoNode;
   NodeId to = kNoNode;
   Cycle sent_at = 0;
-  // Position within the sender's turn (stamped by sim::Context::send;
-  // main-thread Engine::send leaves it 0). Purely a label for the
-  // canonical (cycle, phase, sender, seq) order — commits rely on outbox
+  // Position within the sender's turn (stamped by sim::Context::send; a
+  // message handed straight to Engine::send keeps 0). Purely a label for
+  // the canonical (cycle, phase, sender, seq) order — commits rely on outbox
   // position, never on this field — kept for diagnostics and asserted in
   // tests/test_shard.cpp. 16 bits: a turn sends a handful of messages
   // (fLIKE fan-out plus gossip replies), nowhere near 65k.
   std::uint16_t seq = 0;
   MsgType type = MsgType::kNews;
-  std::variant<ViewPayload, NewsPayload, AckPayload> payload;
+  Payload payload;
 
   const ViewPayload& view() const { return std::get<ViewPayload>(payload); }
   const NewsPayload& news() const { return std::get<NewsPayload>(payload); }

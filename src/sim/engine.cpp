@@ -17,13 +17,11 @@ namespace whatsup::sim {
 
 namespace {
 
-// Stream tags deriving the engine-level and per-node stream spaces from
-// the root seed.
-constexpr std::uint64_t kEngineStreamTag = 0x656e67696e65ULL;  // "engine"
-constexpr std::uint64_t kNodeStreamTag = 0x6e6f646573ULL;      // "nodes"
+// Tag deriving the per-node stream space from the root seed.
+constexpr std::uint64_t kNodeStreamTag = 0x6e6f646573ULL;  // "nodes"
 
 // Tag deriving the fault layer's stream space (burst chains, random
-// crashes) from the root seed — disjoint from the engine and node spaces.
+// crashes) from the root seed — disjoint from the node space.
 constexpr std::uint64_t kFaultStreamTag = 0x6661756c7473ULL;  // "faults"
 
 // Tag deriving the per-message network-draw stream space: each routed
@@ -80,8 +78,9 @@ struct EngineMetrics {
       obs::histogram("engine.barrier.flush_ns", obs::time_bounds_ns(), "ns");
   obs::HistogramId commit =
       obs::histogram("engine.barrier.commit_ns", obs::time_bounds_ns(), "ns");
-  // Transport metrics labeled by barrier slot (fragment mode): slot 0 is
-  // the staged-send flush, 1 the deliver commit, 2 the activate commit.
+  // Transport metrics labeled by barrier slot: slot 0 is the staged-send
+  // flush, 1 the deliver commit, 2 the activate commit. In-process runs
+  // record them too; their exchanges ship and receive nothing.
   obs::HistogramId exchange_ns[3] = {
       obs::histogram("transport.flush.exchange_ns", obs::time_bounds_ns(), "ns"),
       obs::histogram("transport.deliver.exchange_ns", obs::time_bounds_ns(), "ns"),
@@ -121,53 +120,27 @@ NodeId Context::random_active_peer(NodeId excluding) {
 
 Rng Context::reliability_rng() { return engine_.reliability_rng(self_); }
 
-void Context::send(NodeId to, net::MsgType type, net::ViewPayload payload) {
+void Context::send(NodeId to, net::MsgType type, net::Payload payload) {
   net::Message m;
   m.from = self_;
   m.to = to;
   m.type = type;
   m.sent_at = engine_.now();
+  m.seq = next_seq_++;
   m.payload = std::move(payload);
-  send(std::move(m));
-}
-
-void Context::send(NodeId to, net::MsgType type, net::NewsPayload payload) {
-  net::Message m;
-  m.from = self_;
-  m.to = to;
-  m.type = type;
-  m.sent_at = engine_.now();
-  m.payload = std::move(payload);
-  send(std::move(m));
-}
-
-void Context::send(NodeId to, net::MsgType type, net::AckPayload payload) {
-  net::Message m;
-  m.from = self_;
-  m.to = to;
-  m.type = type;
-  m.sent_at = engine_.now();
-  m.payload = payload;
-  send(std::move(m));
-}
-
-void Context::send(net::Message message) {
-  message.seq = next_seq_++;
   if (shard_ != nullptr) {
     // Parallel phase: buffer; the engine commits at the barrier in
     // canonical (cycle, phase, sender, seq) order.
-    shard_->outbox.push_back(std::move(message));
+    shard_->outbox.push_back(std::move(m));
   } else {
-    // Main-thread driver (publish, recovery rejoin): stage for the next
-    // run_cycle's flush slot, where every fragment commits in the same
-    // canonical sender order.
-    engine_.stage(std::move(message));
+    // Main-thread driver (publish, recovery rejoin): staged for the next
+    // run_cycle's flush slot.
+    engine_.send(std::move(m));
   }
 }
 
 Engine::Engine(Config config) : config_(config) {
   Rng root(config_.seed);
-  rng_ = root.fork(kEngineStreamTag);
   stream_root_ = root.fork(kNodeStreamTag);
   fault_root_ = root.fork(kFaultStreamTag);
   net_root_ = root.fork(kNetStreamTag);
@@ -175,12 +148,10 @@ Engine::Engine(Config config) : config_(config) {
                  ? config_.threads
                  : std::max(1u, std::thread::hardware_concurrency());
   shard_nodes_ = config_.shard_nodes != 0 ? config_.shard_nodes : kDefaultShardNodes;
-  transport_ = config_.transport;
-  if (transport_ != nullptr) {
-    fragments_ = transport_->fragments();
-    fragment_ = transport_->fragment_id();
-    assert(fragments_ >= 1 && fragment_ < fragments_);
-  }
+  transport_ = config_.transport != nullptr ? config_.transport : &in_process_;
+  fragments_ = transport_->fragments();
+  fragment_ = transport_->fragment_id();
+  assert(fragments_ >= 1 && fragment_ < fragments_);
   wire_out_.resize(fragments_);
 }
 
@@ -300,8 +271,6 @@ NodeId Engine::draw_active_excluding(Rng& rng, NodeId a, NodeId b) const {
   }
   return active_ids_[idx];
 }
-
-NodeId Engine::random_active(NodeId excluding) { return draw_active(rng_, excluding); }
 
 void Engine::crash(NodeId id, Cycle recover_at) {
   assert(!in_phase_.load(std::memory_order_relaxed) &&
@@ -474,7 +443,7 @@ void Engine::route_message(net::Message message) {
   // Queues a survivor: owned destinations go to the local commit batch,
   // outer ones are serialized for the owner fragment's barrier exchange.
   const auto emit = [&](Cycle due, net::Message&& m) {
-    if (fragments_ == 1 || owns(m.to)) {
+    if (owns(m.to)) {
       pending_local_.push_back(PendingMessage{due, std::move(m)});
     } else if (!obs::enabled()) {
       net::encode_envelope(wire_out_[m.to % fragments_], due, m);
@@ -544,7 +513,7 @@ void Engine::route_message(net::Message message) {
 
 void Engine::finish_slot() {
   const bool obs_on = obs::enabled();
-  if (fragments_ > 1) {
+  {
     // Barrier: swap this slot's serialized batches with every peer and
     // append the decoded envelopes (ascending fragment order) to the local
     // batch. Decode failures are fatal — workers are lockstep replicas.
@@ -582,9 +551,9 @@ void Engine::finish_slot() {
   }
   // Restore the canonical commit order: ascending sender, stable within a
   // sender (all of one sender's messages come from exactly one batch, so
-  // stability preserves its outbox/seq order). The local batch is already
-  // sorted in the common single-fragment case — routing walks shards in
-  // ascending order — so the sort is usually skipped.
+  // stability preserves its outbox/seq order). Phase commits route shards
+  // in ascending order, so a single fragment's batch is usually already
+  // sorted and the sort is skipped.
   const auto by_sender = [](const PendingMessage& a, const PendingMessage& b) {
     return a.message.from < b.message.from;
   };
@@ -600,45 +569,24 @@ void Engine::finish_slot() {
   if (bucket_peak != 0) {
     obs::gauge_max(EngineMetrics::get().mailbox_peak, bucket_peak);
   }
-  const std::size_t fill = pending_local_.size();
   pending_local_.clear();
-  trim_spare_capacity(pending_local_, fill);
-}
-
-void Engine::stage(net::Message message) {
-  assert(!in_phase_.load(std::memory_order_relaxed) &&
-         "stage is a between-phases, main-thread operation");
-  staged_.push_back(std::move(message));
 }
 
 void Engine::flush_staged() {
-  // Single-fragment fast path: nothing staged, nothing to do. Fragment
-  // mode always runs the slot — the barrier exchange must happen on every
-  // worker even when only a peer staged messages.
-  if (staged_.empty() && fragments_ == 1) return;
+  // Runs even when nothing is staged: the slot's barrier exchange must
+  // happen on every worker, also when only a peer staged messages.
   assert(pending_local_.empty());
   for (net::Message& m : staged_) route_message(std::move(m));
-  const std::size_t fill = staged_.size();
   staged_.clear();
-  trim_spare_capacity(staged_, fill);
   finish_slot();
 }
 
 void Engine::send(net::Message message) {
   // Agent code must send through Context::send (which buffers into the
-  // shard outbox); committing here from a worker would race on the
-  // message counters and the destination mailbox.
+  // shard outbox); staging here from a worker would race on staged_.
   assert(!in_phase_.load(std::memory_order_relaxed) &&
          "Engine::send must not be called from agent code — use Context::send");
-  assert(pending_local_.empty());
-  route_message(std::move(message));
-  // Immediate commit of the locally owned result (tests and drivers rely
-  // on the message being in the mailbox right away). A remote destination
-  // stays serialized in wire_out_ and ships with the next barrier slot.
-  for (PendingMessage& p : pending_local_) {
-    shard_for(p.message.to).bucket(p.due).push_back(std::move(p.message));
-  }
-  pending_local_.clear();
+  staged_.push_back(std::move(message));
 }
 
 void Engine::publish(NodeId source, ItemIdx index, ItemId id) {
@@ -666,10 +614,6 @@ void Engine::deliver_shard(Shard& shard) {
   // circulate and steady-state cycles never reallocate message storage.
   shard.delivery_batch.clear();
   shard.delivery_batch.swap(due);
-  // The swap just emptied the bucket; drop post-burst capacity overhang so
-  // a storm cycle doesn't pin storm-sized storage in every ring bucket for
-  // the rest of the run (see trim_spare_capacity).
-  trim_spare_capacity(due, shard.delivery_batch.size());
   // Group by receiving node (ascending), keeping the canonical commit
   // order within each node. Nodes then shuffle THEIR OWN batch with their
   // per-cycle stream: delivery order per node is a pure function of the
@@ -722,9 +666,6 @@ void Engine::deliver_shard(Shard& shard) {
   }
   const std::size_t delivered = shard.delivery_batch.size();
   shard.delivery_batch.clear();
-  trim_spare_capacity(shard.delivery_batch, delivered);
-  shard.delivery_order.clear();
-  trim_spare_capacity(shard.delivery_order, delivered);
   if (obs_on) {
     const EngineMetrics& om = EngineMetrics::get();
     obs::add(om.delivered, delivered);
@@ -809,12 +750,10 @@ void Engine::commit_phase() {
       }
     }
     for (net::Message& m : shard.outbox) route_message(std::move(m));
-    const std::size_t sent = shard.outbox.size();
     shard.outbox.clear();
-    trim_spare_capacity(shard.outbox, sent);
   }
-  // Commit-slot barrier: exchange cross-fragment batches (fragment mode)
-  // and insert everything in canonical sender order.
+  // Commit-slot barrier: exchange cross-fragment batches and insert
+  // everything in canonical sender order.
   finish_slot();
 }
 
@@ -829,7 +768,7 @@ void Engine::run_cycle() {
   ensure_shards();
   // Flush slot: main-thread sends staged since the last cycle (publish
   // fan-out, rejoin handshakes) commit here in canonical sender order —
-  // the first of the cycle's three barrier slots in fragment mode.
+  // the first of the cycle's three barrier slots.
   slot_kind_ = 0;
   {
     WUP_TRACE_SCOPE("flush");

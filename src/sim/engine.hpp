@@ -48,13 +48,13 @@
 #include "net/size_model.hpp"
 #include "net/traffic.hpp"
 #include "sim/observer.hpp"
+#include "sim/transport.hpp"
 
 namespace whatsup::sim {
 
 class Engine;
 struct PendingMessage;
 struct Shard;
-class Transport;
 class WorkerPool;
 
 // Facade handed to agents: scoped send/rng/time/measurement access for one
@@ -93,13 +93,9 @@ class Context {
   // reliability layer never perturbs protocol randomness.
   Rng reliability_rng();
 
-  void send(NodeId to, net::MsgType type, net::ViewPayload payload);
-  void send(NodeId to, net::MsgType type, net::NewsPayload payload);
-  void send(NodeId to, net::MsgType type, net::AckPayload payload);
+  void send(NodeId to, net::MsgType type, net::Payload payload);
 
  private:
-  void send(net::Message message);
-
   Engine& engine_;
   NodeId self_;
   Shard* shard_;
@@ -138,13 +134,12 @@ class Engine : public ParallelExecutor {
     // granularity against barrier overhead.
     std::size_t shard_nodes = 0;
     // Cross-fragment message transport (sim/transport.hpp); NOT owned and
-    // must outlive the engine. nullptr (the default) behaves exactly like
-    // an InProcessTransport: one fragment, no serialization, today's
-    // mailbox rings. With a multi-fragment transport this engine becomes
-    // one lockstep worker owning the node ids congruent to
-    // transport->fragment_id() modulo transport->fragments(); the
-    // fixed-seed trajectory is invariant to the fragment count (see
-    // docs/architecture.md "Transport layer").
+    // must outlive the engine. nullptr (the default) selects the engine's
+    // own InProcessTransport: one fragment owning every node. With a
+    // multi-fragment transport this engine becomes one lockstep worker
+    // owning the node ids congruent to transport->fragment_id() modulo
+    // transport->fragments(); the fixed-seed trajectory is invariant to
+    // the fragment count (see docs/architecture.md "Transport layer").
     Transport* transport = nullptr;
   };
 
@@ -195,9 +190,7 @@ class Engine : public ParallelExecutor {
   // transport). Ownership is round-robin: owner(v) = v % fragments().
   std::size_t fragments() const { return fragments_; }
   std::size_t fragment() const { return fragment_; }
-  bool owns(NodeId id) const {
-    return fragments_ == 1 || id % fragments_ == fragment_;
-  }
+  bool owns(NodeId id) const { return id % fragments_ == fragment_; }
 
   // Inactive nodes are skipped by on_cycle and lose incoming messages
   // (models nodes that have not joined yet / have left). Must be called
@@ -219,15 +212,8 @@ class Engine : public ParallelExecutor {
   std::size_t num_active() const { return num_active_; }
   // Ascending ids of the currently active nodes (maintained incrementally).
   const std::vector<NodeId>& active_ids() const { return active_ids_; }
-  // Uniformly random active node, excluding `excluding`; kNoNode if none.
-  // Closed-form draw over the active set (exactly uniform, one draw) from
-  // the engine-level stream; main-thread use only — agents should use
-  // Context::random_active_peer.
-  NodeId random_active(NodeId excluding = kNoNode);
 
   Cycle now() const { return now_; }
-  // Engine-level stream for global decisions (loss, latency, schedules).
-  Rng& rng() { return rng_; }
   // Reserved per-node reliability substream for the current cycle (see
   // Context::reliability_rng).
   Rng reliability_rng(NodeId id) const;
@@ -263,22 +249,14 @@ class Engine : public ParallelExecutor {
   };
   MemoryStats memory_stats() const;
 
-  // Commits a message immediately: traffic accounting, then the message's
-  // private network-draw stream (loss, latency, ...) and routing into the
-  // destination shard's mailbox. Main-thread entry point (tests, drivers).
-  // Agent sends go through Context::send instead, which buffers into the
-  // shard outbox during parallel phases (committed at the barrier) and
-  // stages on main-thread contexts (committed at the next run_cycle's
-  // flush slot — same due cycles, since now() is unchanged in between).
-  // In fragment mode a remote-destination send is serialized and shipped
-  // at the next barrier exchange.
+  // Main-thread send (drivers, tests, and Context::send outside a phase):
+  // stages the message for the next run_cycle's flush slot, where every
+  // fragment routes staged messages and commits them in canonical sender
+  // order. Due cycles match an immediate commit, since now() is unchanged
+  // in between. This is what keeps driver-initiated sends (publish
+  // fan-out, rejoin handshakes) partition-count invariant. Agent code
+  // sends through Context::send, which buffers into the shard outbox.
   void send(net::Message message);
-
-  // Defers a main-thread send to the next run_cycle's flush slot, where
-  // all workers commit staged messages in canonical sender order. This is
-  // what keeps driver-initiated sends (publish fan-out, rejoin handshakes)
-  // partition-count invariant.
-  void stage(net::Message message);
 
   // Injects a new item at `source` during the current cycle.
   void publish(NodeId source, ItemIdx index, ItemId id);
@@ -292,14 +270,14 @@ class Engine : public ParallelExecutor {
   void add_cycle_hook(CycleHook hook) { hooks_.push_back(std::move(hook)); }
 
   // Closed-form uniform draw over the active set minus `excluding`, using
-  // `rng`. Exposed for Context and tests.
+  // `rng` (exactly uniform, one index draw). Exposed for Context, drivers
+  // and tests; agents use Context::random_active_peer.
   NodeId draw_active(Rng& rng, NodeId excluding) const;
   // Same, minus both `a` and `b` (either may be kNoNode).
   NodeId draw_active_excluding(Rng& rng, NodeId a, NodeId b) const;
 
  private:
   Config config_;
-  Rng rng_;          // engine-level stream (global decisions)
   Rng stream_root_;  // pristine root for counter-based forks; never drawn
   Rng fault_root_;   // pristine root for the fault layer's counter forks
   Rng net_root_;     // pristine root for per-message network-draw forks
@@ -335,7 +313,8 @@ class Engine : public ParallelExecutor {
   // Fragment partitioning (sim/transport.hpp). Every worker runs the full
   // control plane (scenario events, crash draws, calendar) in lockstep;
   // only agent execution and mailbox storage are partitioned by ownership.
-  Transport* transport_ = nullptr;  // not owned; nullptr = single fragment
+  InProcessTransport in_process_;  // used when Config::transport is null
+  Transport* transport_ = nullptr;  // never null after construction
   std::size_t fragments_ = 1;
   std::size_t fragment_ = 0;
 
@@ -345,7 +324,7 @@ class Engine : public ParallelExecutor {
   // Commit-slot scratch: locally owned routed messages, sorted by sender
   // and merged with the peers' exchanged batches before bucket insertion.
   std::vector<PendingMessage> pending_local_;
-  // Serialized envelope batches per destination fragment (fragment mode).
+  // Serialized envelope batches per destination fragment (own slot unused).
   std::vector<std::vector<std::uint8_t>> wire_out_;
 
   // Which of the cycle's three barrier slots finish_slot() is closing
@@ -390,8 +369,8 @@ class Engine : public ParallelExecutor {
   // destinations into pending_local_, remote ones serialized into
   // wire_out_. Part of a commit slot — finish_slot() must follow.
   void route_message(net::Message message);
-  // Closes a commit slot: barrier-exchanges wire_out_ (fragment mode),
-  // decodes the peers' batches, restores canonical ascending-sender order
+  // Closes a commit slot: barrier-exchanges wire_out_ with the peer
+  // fragments (none in-process), decodes the peers' batches, restores canonical ascending-sender order
   // and inserts everything into the destination mailbox rings.
   void finish_slot();
   // The run_cycle flush slot committing staged main-thread sends.

@@ -11,7 +11,7 @@
 //    canonical order, so delivery order is a pure function of the seed.
 //  * `outbox` — messages sent by this shard's agents during the current
 //    phase. Committed at the barrier: the engine walks shards in ascending
-//    order, applying loss/latency (engine-level RNG stream) and routing
+//    order, applying loss/latency (per-message network streams) and routing
 //    into the destination shard's mailbox. The concatenation of outboxes
 //    in shard order IS the canonical (cycle, phase, sender, seq) order,
 //    because agents within a shard run in ascending id order.
@@ -25,10 +25,8 @@
 // fixed-seed trajectory — is bit-identical across `threads` settings.
 #pragma once
 
-#include <algorithm>
 #include <array>
 #include <atomic>
-#include <cassert>
 #include <condition_variable>
 #include <cstddef>
 #include <functional>
@@ -52,26 +50,6 @@ struct PendingMessage {
   Cycle due = 0;
   net::Message message;
 };
-
-// Releases the spare capacity of an empty staging vector once it dwarfs
-// the traffic it actually carried. Mailbox buckets, delivery scratch and
-// outboxes all converge to the largest burst they ever saw (capacities
-// circulate and never shrink), so after a news storm EVERY bucket of the
-// ring pins storm-sized storage for the rest of the run — the dominant
-// engine-side term of peak bytes/node at the million-node scale. The
-// reserve keeps half again the last fill, so ordinary cycle-to-cycle
-// growth never reallocates and only a >3x overhang (a genuine burst
-// receding) is returned to the allocator. Capacity management never
-// touches message content or order, so fixed-seed trajectories are
-// unchanged.
-template <typename T>
-inline void trim_spare_capacity(std::vector<T>& v, std::size_t last_fill) {
-  assert(v.empty() && "trim discards elements; call only on drained vectors");
-  const std::size_t keep = std::max<std::size_t>(64, last_fill + last_fill / 2);
-  if (v.capacity() <= 2 * keep) return;
-  std::vector<T>().swap(v);
-  v.reserve(keep);
-}
 
 struct Shard {
   Shard(NodeId begin, NodeId end, std::size_t window)

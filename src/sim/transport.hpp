@@ -27,11 +27,10 @@
 // communication the protocol needs.
 //
 // Backends:
-//  * InProcessTransport — the single-fragment identity: exchange() has
-//    nothing to ship and returns immediately. The engine additionally
-//    short-circuits serialization entirely when fragments() == 1, so the
-//    single-process fast path is bit-and-cost-identical to the
-//    pre-transport engine.
+//  * InProcessTransport — the single-fragment identity: one fragment owns
+//    every node, so nothing is ever serialized and exchange() returns
+//    immediately. An engine built without a transport uses one, so every
+//    engine runs the same commit path: all three slots exchange each cycle.
 //  * SocketTransport — a full mesh of stream sockets (loopback TCP or —
 //    what the launcher and tests use — AF_UNIX socketpairs) carrying
 //    length-prefixed, checksummed frames; one frame per peer per slot,
@@ -63,7 +62,7 @@ class Transport {
       const std::vector<std::vector<std::uint8_t>>& out) = 0;
 };
 
-// Single-fragment backend: today's in-process mailbox rings, unchanged.
+// Single-fragment backend: every message stays on the local mailbox rings.
 class InProcessTransport final : public Transport {
  public:
   std::size_t fragments() const override { return 1; }

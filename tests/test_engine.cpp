@@ -131,14 +131,38 @@ TEST(Engine, InactiveNodesLoseMessagesAndSkipCycles) {
 
 TEST(Engine, RandomActiveRespectsExclusionsAndActivity) {
   Fixture fx;
+  Rng rng(3);
   fx.engine.set_active(0, false);
   fx.engine.set_active(1, false);
   for (int i = 0; i < 50; ++i) {
-    const NodeId pick = fx.engine.random_active(2);
+    const NodeId pick = fx.engine.draw_active(rng, 2);
     EXPECT_EQ(pick, 3u);
   }
   fx.engine.set_active(3, false);
-  EXPECT_EQ(fx.engine.random_active(2), kNoNode);
+  EXPECT_EQ(fx.engine.draw_active(rng, 2), kNoNode);
+}
+
+TEST(Engine, MainThreadSendsCommitInSenderOrder) {
+  // Main-thread sends are staged and committed at the next flush slot in
+  // ascending sender order, so the order of the send() calls is invisible
+  // to the receiver: both engines deliver the same sequence to node 0.
+  const auto deliveries = [](bool low_sender_first) {
+    Engine::Config config;
+    config.seed = 21;
+    Fixture fx(config);
+    if (low_sender_first) {
+      fx.engine.send(news_message(1, 0));
+      fx.engine.send(news_message(3, 0));
+    } else {
+      fx.engine.send(news_message(3, 0));
+      fx.engine.send(news_message(1, 0));
+    }
+    fx.engine.run_cycles(2);
+    return fx.probes[0]->received;
+  };
+  const auto expected = deliveries(true);
+  ASSERT_EQ(expected.size(), 2u);
+  EXPECT_EQ(deliveries(false), expected);
 }
 
 TEST(Engine, PublishInvokesSourceAgent) {

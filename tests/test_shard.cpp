@@ -200,6 +200,7 @@ TEST(ShardedEngine, RaisingLatencyMidRunGrowsTheMailboxWindow) {
   ProbeFixture fx(config, 4);
   fx.engine.run_cycle();  // materialize shards at the small window
   fx.engine.send(news_message(0, 1));
+  fx.engine.run_cycle();  // flush slot: the message enters the small ring
   net::NetworkConfig slow;
   slow.latency = 7;
   fx.engine.set_network(slow);
@@ -218,11 +219,12 @@ TEST(RandomActive, ExactlyUniformOverNonExcludedActives) {
   config.seed = 9;
   ProbeFixture fx(config, 5);
   fx.engine.set_active(1, false);
+  Rng rng(9);
   // Active: {0, 2, 3, 4}; excluding 3 leaves {0, 2, 4}.
   std::array<int, 5> counts{};
   constexpr int kDraws = 30000;
   for (int i = 0; i < kDraws; ++i) {
-    const NodeId pick = fx.engine.random_active(3);
+    const NodeId pick = fx.engine.draw_active(rng, 3);
     ASSERT_LT(pick, 5u);
     ++counts[pick];
   }
@@ -235,31 +237,27 @@ TEST(RandomActive, ExactlyUniformOverNonExcludedActives) {
 
 TEST(RandomActive, OnlyExcludedActiveTerminatesWithNoNode) {
   ProbeFixture fx({}, 4);
+  Rng rng(4);
   for (NodeId v : {0u, 1u, 2u}) fx.engine.set_active(v, false);
   // The old rejection loop had only its attempt bound between this call
   // and spinning forever; the closed-form draw answers immediately.
-  EXPECT_EQ(fx.engine.random_active(3), kNoNode);
-  EXPECT_NE(fx.engine.random_active(0), kNoNode);  // inactive exclusion: fine
+  EXPECT_EQ(fx.engine.draw_active(rng, 3), kNoNode);
+  EXPECT_NE(fx.engine.draw_active(rng, 0), kNoNode);  // inactive exclusion: fine
   fx.engine.set_active(3, false);
-  EXPECT_EQ(fx.engine.random_active(kNoNode), kNoNode);  // nobody active
+  EXPECT_EQ(fx.engine.draw_active(rng, kNoNode), kNoNode);  // nobody active
 }
 
 TEST(RandomActive, SingleDrawConsumedPerCall) {
-  // The closed-form draw must consume exactly one index draw, so engine
-  // randomness does not depend on the activity pattern's shape.
-  Engine::Config config;
-  config.seed = 31;
-  ProbeFixture fx(config, 6);
-  Rng reference(0);
-  {
-    Engine::Config c2;
-    c2.seed = 31;
-    ProbeFixture fx2(c2, 6);
-    fx2.engine.random_active(2);
-    // Both engines' streams must still agree after one draw each.
-    fx.engine.random_active(4);
-    EXPECT_EQ(fx.engine.rng().next_u64(), fx2.engine.rng().next_u64());
-  }
+  // The closed-form draw must consume exactly one index draw, so the
+  // caller's stream does not depend on the activity pattern's shape.
+  ProbeFixture fx({}, 6);
+  fx.engine.set_active(1, false);
+  Rng a(31);
+  Rng b(31);
+  fx.engine.draw_active(a, 2);
+  fx.engine.draw_active(b, 4);
+  // Both streams must still agree after one draw each.
+  EXPECT_EQ(a.next_u64(), b.next_u64());
 }
 
 TEST(RandomActive, ContextPeerDrawExcludesSelfAndUsesNodeStream) {
@@ -277,11 +275,6 @@ TEST(RandomActive, ContextPeerDrawExcludesSelfAndUsesNodeStream) {
     const NodeId pick = ctx.random_active_peer(0);
     ASSERT_TRUE(pick == 1u || pick == 3u);
   }
-  // Engine-level stream untouched by Context draws.
-  Engine::Config c2;
-  c2.seed = 5;
-  ProbeFixture fx2(c2, 4);
-  EXPECT_EQ(fx.engine.rng().next_u64(), fx2.engine.rng().next_u64());
 }
 
 TEST(RandomActive, DrawActiveExcludingBothIds) {
