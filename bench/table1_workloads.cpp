@@ -1,7 +1,6 @@
 // Table I — workload summary.
 // Reproduces the corresponding table/figure of the WhatsUp paper
-// (IPDPS 2013); see DESIGN.md §3 and EXPERIMENTS.md for the
-// paper-vs-measured record. Flags: --seed, --scale, --trials, --help.
+// (IPDPS 2013; abstract in PAPER.md). Flags: --seed, --scale, --trials, --help.
 #include <iostream>
 
 #include "analysis/experiments.hpp"

@@ -15,7 +15,7 @@ std::string fixed(double value, int prec = 2);
 std::string si_count(double value);
 
 // Aligned ASCII table, printed with a title banner; mirrors the layout of a
-// paper table so EXPERIMENTS.md can record paper-vs-measured side by side.
+// paper table so measured rows read side by side with the paper's.
 class Table {
  public:
   explicit Table(std::vector<std::string> headers);

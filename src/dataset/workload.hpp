@@ -7,7 +7,7 @@
 // graph (Digg cascades) and per-item topics (C-Pub/Sub subscriptions).
 //
 // The paper's three datasets (Table I) are regenerated synthetically with
-// matched statistics; see DESIGN.md §1 for the substitution arguments.
+// matched statistics.
 #pragma once
 
 #include <optional>

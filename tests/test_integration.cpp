@@ -1,6 +1,5 @@
 // End-to-end fidelity checks: the paper's qualitative claims must hold on
-// reduced-scale workloads (DESIGN.md §3 "Fidelity expectations"). These are
-// the guardrails for the bench harness.
+// reduced-scale workloads. These are the guardrails for the bench harness.
 #include <gtest/gtest.h>
 
 #include "analysis/experiments.hpp"
@@ -55,8 +54,7 @@ TEST(Fidelity, WupMetricNotWorseThanCosineAtModerateFanout) {
   // Fig. 3 / Table III: the paper's WUP metric dominates cosine. On our
   // regenerated survey (where every user rates every received item, so the
   // profile-size discrimination of the asymmetric metric is muted) the gap
-  // shrinks to a statistical tie — we assert non-inferiority over seeds
-  // and record the deviation in EXPERIMENTS.md.
+  // shrinks to a statistical tie — we assert non-inferiority over seeds.
   const RunResult wup = averaged(Approach::kWhatsUp, 8, 3);
   const RunResult cos = averaged(Approach::kWhatsUpCos, 8, 3);
   EXPECT_GT(wup.scores.f1, cos.scores.f1 - 0.02);
@@ -75,7 +73,7 @@ TEST(Fidelity, BeepBeatsPlainCfWithSameMetric) {
 TEST(Fidelity, WupOverlayConnectsAtLowerFanoutThanCosine) {
   // Fig. 4: the WUP metric reaches a large SCC at least as early as cosine
   // (§V-A also reports lower clustering for WUP; on our data the two
-  // overlays have similar clustering — recorded in EXPERIMENTS.md).
+  // overlays have similar clustering).
   const RunResult wup = averaged(Approach::kWhatsUp, 4, 3);
   const RunResult cos = averaged(Approach::kWhatsUpCos, 4, 3);
   EXPECT_GT(wup.overlay.lscc_fraction, cos.overlay.lscc_fraction - 0.05);
