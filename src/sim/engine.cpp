@@ -374,9 +374,9 @@ bool Engine::link_bad(NodeId from, NodeId to) {
 }
 
 Shard& Engine::shard_for(NodeId node) {
-  // Fast path: shards already cover the node (always true once run_cycle
-  // ran). The slow path serves pre-run external sends — including, as the
-  // old global ring did, targets registered only after the send.
+  // Fast path: shards already cover the node (run_cycle sizes them before
+  // its first slot). The slow path serves messages addressed to ids that
+  // are not registered yet, as the old global ring did.
   const std::size_t idx = shard_index(node);
   if (idx >= shards_.size()) {
     const std::size_t w = window();

@@ -370,8 +370,9 @@ class Engine : public ParallelExecutor {
   // wire_out_. Part of a commit slot — finish_slot() must follow.
   void route_message(net::Message message);
   // Closes a commit slot: barrier-exchanges wire_out_ with the peer
-  // fragments (none in-process), decodes the peers' batches, restores canonical ascending-sender order
-  // and inserts everything into the destination mailbox rings.
+  // fragments (none in-process), decodes the peers' batches, restores
+  // canonical ascending-sender order and inserts everything into the
+  // destination mailbox rings.
   void finish_slot();
   // The run_cycle flush slot committing staged main-thread sends.
   void flush_staged();
