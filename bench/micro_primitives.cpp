@@ -1,7 +1,7 @@
 // Microbenchmarks of the hot kernels in the WhatsUp stack: similarity
 // computation (the WUP clustering inner loop), view merges, item-profile
-// aggregation, the engine's route + deliver message path, and the SCC
-// analysis used by Fig. 4.
+// aggregation, the engine's route + deliver message path, the wire codec
+// of the fragment exchange, and the SCC analysis used by Fig. 4.
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
@@ -18,6 +18,7 @@
 #include "gossip/view.hpp"
 #include "graph/generators.hpp"
 #include "graph/scc.hpp"
+#include "net/wire.hpp"
 #include "profile/item_profile.hpp"
 #include "profile/similarity.hpp"
 #include "profile/snapshot.hpp"
@@ -352,6 +353,84 @@ void BM_EngineRouteDeliver(benchmark::State& state) {
   state.SetItemsProcessed(static_cast<std::int64_t>(delivered));
 }
 BENCHMARK(BM_EngineRouteDeliver)->Arg(500)->Arg(10000);
+
+// ---- Wire codec (net/wire.hpp) ---------------------------------------------
+//
+// One WUP gossip envelope as it crosses a fragment link: the sender's
+// descriptor plus a full WUP view (2·fLIKE = 16 entries), each carrying a
+// distinct 30-entry binary profile snapshot. Arg 0 is a cold link, where
+// every snapshot ships in full (encode: a one-set table that 17 rotating
+// snapshots keep evicting; decode: a batch of full ships); arg 1 a warm
+// link, where every snapshot already crossed and ships as a table
+// reference. Reports ns per envelope and its wire bytes.
+constexpr std::size_t kWireViewEntries = 16;
+
+net::Message wup_envelope_message() {
+  Rng rng(12);
+  net::Message m;
+  m.from = 3;
+  m.to = 4;
+  m.sent_at = 100;
+  m.type = net::MsgType::kWupReply;
+  net::ViewPayload v;
+  v.sender = net::make_descriptor(3, 100, random_profile(rng, 30, 240));
+  for (std::size_t i = 0; i < kWireViewEntries; ++i) {
+    v.view.push_back(net::make_descriptor(static_cast<NodeId>(10 + i), 90,
+                                          random_profile(rng, 30, 240)));
+  }
+  m.payload = std::move(v);
+  return m;
+}
+
+void BM_WireEncodeView(benchmark::State& state) {
+  const bool warm = state.range(0) != 0;
+  const net::Message m = wup_envelope_message();
+  net::SnapshotSendTable link(warm ? net::snapshot_table_slots(500)
+                                   : net::SnapshotSendTable::kWays);
+  std::vector<std::uint8_t> out;
+  if (warm) net::encode_envelope(out, 101, m, link);
+  std::size_t bytes = 0;
+  for (auto _ : state) {
+    out.clear();
+    net::encode_envelope(out, 101, m, link);
+    bytes = out.size();
+    benchmark::DoNotOptimize(out.data());
+  }
+  state.counters["wire_bytes"] = static_cast<double>(bytes);
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_WireEncodeView)->Arg(0)->Arg(1);
+
+void BM_WireDecodeView(benchmark::State& state) {
+  const bool warm = state.range(0) != 0;
+  const net::Message m = wup_envelope_message();
+  const std::size_t slots = net::snapshot_table_slots(500);
+  net::SnapshotSendTable tx(slots);
+  net::SnapshotRecvTable rx(slots);
+  std::vector<std::uint8_t> bytes;
+  net::encode_envelope(bytes, 101, m, tx);  // full ships
+  if (warm) {
+    net::WireReader prime(bytes.data(), bytes.size());
+    Cycle due = 0;
+    net::Message out;
+    if (!net::decode_envelope(prime, due, out, rx)) state.SkipWithError("decode failed");
+    bytes.clear();
+    net::encode_envelope(bytes, 101, m, tx);  // references
+  }
+  for (auto _ : state) {
+    net::WireReader r(bytes.data(), bytes.size());
+    Cycle due = 0;
+    net::Message out;
+    if (!net::decode_envelope(r, due, out, rx)) {
+      state.SkipWithError("decode failed");
+      break;
+    }
+    benchmark::DoNotOptimize(out.payload.index());
+  }
+  state.counters["wire_bytes"] = static_cast<double>(bytes.size());
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_WireDecodeView)->Arg(0)->Arg(1);
 
 }  // namespace
 }  // namespace whatsup

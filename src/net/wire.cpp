@@ -1,9 +1,13 @@
 #include "net/wire.hpp"
 
+#include <algorithm>
+#include <bit>
+#include <cassert>
 #include <cstring>
 #include <utility>
 
 #include "common/small_vector.hpp"
+#include "obs/registry.hpp"
 #include "profile/compact.hpp"
 
 namespace whatsup::net {
@@ -31,6 +35,31 @@ std::uint32_t get_u32le(const std::uint8_t* p) {
          (static_cast<std::uint32_t>(p[1]) << 8) |
          (static_cast<std::uint32_t>(p[2]) << 16) |
          (static_cast<std::uint32_t>(p[3]) << 24);
+}
+
+// Descriptor snapshot tags (see the descriptor layout below).
+constexpr std::uint8_t kNoSnapshot = 0;
+constexpr std::uint8_t kInlineSnapshot = 1;
+constexpr std::uint8_t kFullSnapshot = 2;
+constexpr std::uint8_t kSnapshotRef = 3;
+
+// Link-table sizing: a power of two of at least kSnapshotSlotsPerNode
+// slots per node, clamped (see snapshot_table_slots). Every slot pins one
+// receiver-side record, so the table trades resident bytes for hit rate;
+// docs/perf.md "Link snapshot tables" has the sweep behind 8 slots/node.
+constexpr std::size_t kSnapshotSlotsPerNode = 8;
+constexpr std::size_t kMinSnapshotSlots = 1024;
+constexpr std::size_t kMaxSnapshotSlots = std::size_t{1} << 20;
+
+// Sender-side link-table work counters, registered on first use.
+struct WireCounters {
+  obs::MetricId snapshot_full = obs::counter("wire.snapshot.full");
+  obs::MetricId snapshot_ref = obs::counter("wire.snapshot.ref");
+};
+
+const WireCounters& wire_counters() {
+  static const WireCounters counters;
+  return counters;
 }
 
 bool binary_scores(std::span<const double> scores) {
@@ -86,79 +115,167 @@ void encode_profile(std::vector<std::uint8_t>& out, const Profile& profile) {
 bool decode_profile(WireReader& r, Profile& out) {
   out.clear();
   const std::uint64_t count = r.read_varint();
-  if (!r.ok() || count > kMaxWireProfileEntries) return false;
+  // Every entry takes at least one byte (its id delta), so a count past the
+  // remaining input is corrupt: reject it before sizing any array.
+  if (!r.ok() || count > kMaxWireProfileEntries || count > r.remaining()) return false;
   if (count == 0) return r.ok();
+  // One pass into flat arrays, loaded with a single version stamp: the
+  // ascending-id check below is exactly Profile's sorted invariant.
   SmallVector<ItemId, 16> ids;
-  ids.reserve(count);
+  ids.resize(count);
   ItemId prev_id = 0;
   for (std::uint64_t i = 0; i < count; ++i) {
     const std::uint64_t delta = r.read_varint();
-    if (!r.ok() || (i > 0 && delta == 0)) return false;  // ids must ascend
+    if (!r.ok() || (i > 0 && delta == 0) || delta > ~ItemId{0} - prev_id) {
+      return false;  // ids must strictly ascend, without wrapping
+    }
     prev_id += delta;
-    ids.push_back(prev_id);
+    ids[i] = prev_id;
   }
   SmallVector<Cycle, 16> timestamps;
-  timestamps.reserve(count);
+  timestamps.resize(count);
   std::int64_t prev_ts = 0;
   for (std::uint64_t i = 0; i < count; ++i) {
-    prev_ts += r.read_zigzag();
+    const std::int64_t delta = r.read_zigzag();
+    // |delta| <= 2^33 keeps the running sum far from int64 overflow.
+    if (delta < -(std::int64_t{1} << 33) || delta > (std::int64_t{1} << 33)) {
+      return false;
+    }
+    prev_ts += delta;
     if (prev_ts < INT32_MIN || prev_ts > INT32_MAX) return false;
-    timestamps.push_back(static_cast<Cycle>(prev_ts));
+    timestamps[i] = static_cast<Cycle>(prev_ts);
   }
   const std::uint8_t flags = r.read_u8();
   if (!r.ok() || flags > 1) return false;
+  SmallVector<double, 16> scores;
+  scores.resize(count);
   if (flags == 1) {
     std::uint8_t bits = 0;
     for (std::uint64_t i = 0; i < count; ++i) {
       if (i % 8 == 0) bits = r.read_u8();
-      if (!r.ok()) return false;
-      out.set(ids[i], timestamps[i], (bits >> (i % 8)) & 1 ? 1.0 : 0.0);
+      scores[i] = (bits >> (i % 8)) & 1 ? 1.0 : 0.0;
     }
   } else {
-    for (std::uint64_t i = 0; i < count; ++i) {
-      const double s = r.read_f64();
-      if (!r.ok()) return false;
-      out.set(ids[i], timestamps[i], s);
-    }
+    for (std::uint64_t i = 0; i < count; ++i) scores[i] = r.read_f64();
   }
-  return r.ok();
+  if (!r.ok()) return false;
+  out.assign_ascending({ids.data(), ids.size()},
+                       {timestamps.data(), timestamps.size()},
+                       {scores.data(), scores.size()});
+  return true;
+}
+
+// ---- Link snapshot tables ----
+
+std::size_t snapshot_table_slots(std::size_t nodes) {
+  return std::clamp<std::size_t>(std::bit_ceil(kSnapshotSlotsPerNode * nodes),
+                                 kMinSnapshotSlots, kMaxSnapshotSlots);
+}
+
+SnapshotSendTable::Placement SnapshotSendTable::place(ArenaIndex index,
+                                                      std::uint64_t version) {
+  assert(std::has_single_bit(slots()));
+  const std::size_t ways = std::min(kWays, slots());
+  const std::size_t first = (index & (slots() / ways - 1)) * ways;
+  Placement p{first, false};
+  for (std::size_t s = first; s < first + ways; ++s) {
+    if (versions_[s] == version) {
+      p = Placement{s, true};
+      break;
+    }
+    if (last_use_[s] < last_use_[p.slot]) p.slot = s;
+  }
+  if (!p.shipped) versions_[p.slot] = version;
+  last_use_[p.slot] = ++clock_;
+  return p;
+}
+
+const ProfileHandle* SnapshotRecvTable::resolve(std::uint64_t slot,
+                                                std::uint64_t version) const {
+  // A vacant slot holds version 0, which no reference carries.
+  if (slot >= slots() || version == 0 || versions_[slot] != version) return nullptr;
+  return &handles_[slot];
+}
+
+void SnapshotRecvTable::store(std::size_t slot, std::uint64_t version,
+                              ProfileHandle handle) {
+  versions_[slot] = version;
+  handles_[slot] = std::move(handle);
 }
 
 // ---- Descriptor ----
+//
+// Layout: varint node, zigzag timestamp, tag u8, then per tag:
+//   kNoSnapshot      — nothing (bootstrap descriptor: address only);
+//   kInlineSnapshot  — profile contents (what empty snapshots ship);
+//   kFullSnapshot    — varint slot, varint version, profile contents;
+//   kSnapshotRef     — varint slot, varint version.
 
-void encode_descriptor(std::vector<std::uint8_t>& out, const Descriptor& d) {
+void encode_descriptor(std::vector<std::uint8_t>& out, const Descriptor& d,
+                       SnapshotSendTable& link) {
   wire_varint(out, d.node);
   wire_zigzag(out, d.timestamp());
   if (!d.has_profile()) {
-    wire_u8(out, 0);  // bootstrap descriptor: address only, no snapshot
+    wire_u8(out, kNoSnapshot);
     return;
   }
-  wire_u8(out, 1);
-  encode_profile(out, d.profile_ref());
+  if (d.profile_size() == 0) {
+    wire_u8(out, kInlineSnapshot);
+    encode_profile(out, Profile{});
+    return;
+  }
+  const ProfileHandle blob = d.profile();
+  const std::uint64_t version = blob.version();
+  const SnapshotSendTable::Placement p = link.place(blob.slot(), version);
+  wire_u8(out, p.shipped ? kSnapshotRef : kFullSnapshot);
+  wire_varint(out, p.slot);
+  wire_varint(out, version);
+  if (p.shipped) {
+    obs::add(wire_counters().snapshot_ref);
+    return;
+  }
+  obs::add(wire_counters().snapshot_full);
+  encode_profile(out, blob.materialize());
 }
 
-bool decode_descriptor(WireReader& r, Descriptor& out) {
+bool decode_descriptor(WireReader& r, Descriptor& out, SnapshotRecvTable& link) {
   const std::uint64_t node = r.read_varint();
   const std::int64_t timestamp = r.read_zigzag();
-  const std::uint8_t flag = r.read_u8();
+  const std::uint8_t tag = r.read_u8();
   if (!r.ok() || node > UINT32_MAX || timestamp < INT32_MIN ||
-      timestamp > INT32_MAX || flag > 1) {
+      timestamp > INT32_MAX || tag > kSnapshotRef) {
     return false;
   }
   const NodeId n = static_cast<NodeId>(node);
   const Cycle ts = static_cast<Cycle>(timestamp);
-  if (flag == 0) {
+  if (tag == kNoSnapshot) {
     out = Descriptor{n, ts, nullptr};
     return true;
   }
   Profile p;
-  if (!decode_profile(r, p)) return false;
+  if (tag == kInlineSnapshot) {
+    if (!decode_profile(r, p)) return false;
+    out = Descriptor{n, ts, p.empty() ? empty_profile_handle()
+                                      : SnapshotArena::instance().intern_by_content(p)};
+    return true;
+  }
+  const std::uint64_t slot = r.read_varint();
+  const std::uint64_t version = r.read_varint();
+  if (!r.ok()) return false;
+  if (tag == kSnapshotRef) {
+    const ProfileHandle* handle = link.resolve(slot, version);
+    if (handle == nullptr) return false;
+    out = Descriptor{n, ts, *handle};
+    return true;
+  }
+  if (slot >= link.slots() || version == 0) return false;
+  if (!decode_profile(r, p) || p.empty()) return false;
   // Re-intern locally BY CONTENT, never by the sender's process-local
-  // version stamps: identical snapshot bytes arriving through different
-  // sockets collapse onto one arena record.
-  out = Descriptor{n, ts,
-                   p.empty() ? empty_profile_handle()
-                             : SnapshotArena::instance().intern_by_content(p)};
+  // version stamp (that only keys the link table): identical snapshot
+  // bytes arriving through different links collapse onto one arena record.
+  ProfileHandle handle = SnapshotArena::instance().intern_by_content(p);
+  out = Descriptor{n, ts, handle};
+  link.store(static_cast<std::size_t>(slot), version, std::move(handle));
   return true;
 }
 
@@ -166,19 +283,20 @@ bool decode_descriptor(WireReader& r, Descriptor& out) {
 
 namespace {
 
-void encode_view_payload(std::vector<std::uint8_t>& out, const ViewPayload& v) {
-  encode_descriptor(out, v.sender);
+void encode_view_payload(std::vector<std::uint8_t>& out, const ViewPayload& v,
+                         SnapshotSendTable& link) {
+  encode_descriptor(out, v.sender, link);
   wire_varint(out, v.view.size());
-  for (const Descriptor& d : v.view) encode_descriptor(out, d);
+  for (const Descriptor& d : v.view) encode_descriptor(out, d, link);
 }
 
-bool decode_view_payload(WireReader& r, ViewPayload& out) {
-  if (!decode_descriptor(r, out.sender)) return false;
+bool decode_view_payload(WireReader& r, ViewPayload& out, SnapshotRecvTable& link) {
+  if (!decode_descriptor(r, out.sender, link)) return false;
   const std::uint64_t count = r.read_varint();
   if (!r.ok() || count > kMaxWireViewEntries) return false;
   out.view.resize(count);
   for (std::uint64_t i = 0; i < count; ++i) {
-    if (!decode_descriptor(r, out.view[i])) return false;
+    if (!decode_descriptor(r, out.view[i], link)) return false;
   }
   return true;
 }
@@ -238,7 +356,8 @@ bool decode_ack_payload(WireReader& r, AckPayload& out) {
 
 // ---- Message ----
 
-void encode_message(std::vector<std::uint8_t>& out, const Message& m) {
+void encode_message(std::vector<std::uint8_t>& out, const Message& m,
+                    SnapshotSendTable& link) {
   wire_varint(out, m.from);
   wire_varint(out, m.to);
   wire_zigzag(out, m.sent_at);
@@ -247,7 +366,7 @@ void encode_message(std::vector<std::uint8_t>& out, const Message& m) {
   wire_u8(out, static_cast<std::uint8_t>(m.payload.index()));
   switch (m.payload.index()) {
     case 0:
-      encode_view_payload(out, std::get<ViewPayload>(m.payload));
+      encode_view_payload(out, std::get<ViewPayload>(m.payload), link);
       break;
     case 1:
       encode_news_payload(out, std::get<NewsPayload>(m.payload));
@@ -258,7 +377,7 @@ void encode_message(std::vector<std::uint8_t>& out, const Message& m) {
   }
 }
 
-bool decode_message(WireReader& r, Message& out) {
+bool decode_message(WireReader& r, Message& out, SnapshotRecvTable& link) {
   const std::uint64_t from = r.read_varint();
   const std::uint64_t to = r.read_varint();
   const std::int64_t sent_at = r.read_zigzag();
@@ -278,7 +397,7 @@ bool decode_message(WireReader& r, Message& out) {
   switch (payload) {
     case 0: {
       ViewPayload v;
-      if (!decode_view_payload(r, v)) return false;
+      if (!decode_view_payload(r, v, link)) return false;
       out.payload = std::move(v);
       return true;
     }
@@ -300,16 +419,17 @@ bool decode_message(WireReader& r, Message& out) {
 // ---- Envelope ----
 
 void encode_envelope(std::vector<std::uint8_t>& out, Cycle due,
-                     const Message& m) {
+                     const Message& m, SnapshotSendTable& link) {
   wire_zigzag(out, due);
-  encode_message(out, m);
+  encode_message(out, m, link);
 }
 
-bool decode_envelope(WireReader& r, Cycle& due, Message& out) {
+bool decode_envelope(WireReader& r, Cycle& due, Message& out,
+                     SnapshotRecvTable& link) {
   const std::int64_t d = r.read_zigzag();
   if (!r.ok() || d < INT32_MIN || d > INT32_MAX) return false;
   due = static_cast<Cycle>(d);
-  return decode_message(r, out);
+  return decode_message(r, out, link);
 }
 
 // ---- Frames ----

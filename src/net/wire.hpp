@@ -2,18 +2,30 @@
 // fragment-partitioned engine ships across worker processes at cycle
 // barriers (sim/transport.hpp).
 //
-// Until now messages were in-memory-only structs: profiles travelled as
-// interned handles (profile/compact.hpp) and item profiles as CoW
-// references, both meaningless outside the owning process. The codec here
-// serializes CONTENTS, never process-local identities:
+// In memory, profiles travel as interned handles (profile/compact.hpp) and
+// item profiles as CoW references, both meaningless outside the owning
+// process. The codec here serializes CONTENTS, never process-local
+// identities:
 //
 //  * profile snapshots ship as delta-coded entry triplets (the same LEB128
 //    zigzag layout CompactProfile uses: id deltas, timestamp deltas, and a
 //    1-bit-per-entry mask for binary score vectors, raw doubles otherwise);
-//    the receiver re-encodes them into its own intern table. Version
-//    stamps are deliberately NOT shipped — they are process-local counters
-//    and only affect cache hit rates, never behavior, which is what keeps
-//    fixed-seed trajectories bit-identical across partition counts.
+//    the receiver re-interns them by content into its own arena.
+//  * a descriptor's snapshot crosses each directed fragment link in full
+//    only once per profile generation. Both ends of the link keep a
+//    mirrored snapshot table (SnapshotSendTable / SnapshotRecvTable): the
+//    sender's blob arena index picks a set of slots, the blob's version
+//    stamp is the key. A first crossing ships (slot, version, contents); the
+//    receiver interns the contents and keeps (version, handle) in the
+//    slot. Every later crossing ships (slot, version) alone and resolves
+//    to that handle — the very record a full ship would have interned. The
+//    sender's version stamps therefore DO ship, but only as table keys:
+//    they never enter the receiver's Profile or arena, which keep their own
+//    local stamps. Versions only affect cache hit rates and table hits,
+//    never behavior, which is what keeps fixed-seed trajectories
+//    bit-identical across partition counts.
+//  * bootstrap (snapshot-less) and empty-snapshot descriptors, and news
+//    item profiles, carry no table traffic: they encode inline.
 //  * every numeric field is a varint / zigzag varint; doubles are 8-byte
 //    little-endian bit patterns (exact round-trip — scores feed similarity
 //    kernels whose last-ulp behavior is pinned by the determinism suite).
@@ -21,7 +33,9 @@
 // Unlike common/varint.hpp's trusted in-process reader, WireReader is
 // bounds-checked: truncated or corrupt input parks the reader in a failed
 // state instead of reading past the buffer, and every decoder returns
-// false rather than fabricating a message.
+// false rather than fabricating a message. A reference to a slot out of
+// range, to a vacant slot or under a version the slot does not hold is
+// corrupt input like any other.
 //
 // Framing for the socket transport: [u32 length][u32 FNV-1a checksum]
 // [payload], both little-endian. frame_extract rejects oversized lengths
@@ -37,6 +51,7 @@
 #include "common/ids.hpp"
 #include "common/varint.hpp"
 #include "net/message.hpp"
+#include "profile/compact.hpp"
 #include "profile/profile.hpp"
 
 namespace whatsup::net {
@@ -125,24 +140,99 @@ inline void wire_f64(std::vector<std::uint8_t>& out, double v) {
 inline constexpr std::size_t kMaxWireProfileEntries = 1u << 20;
 inline constexpr std::size_t kMaxWireViewEntries = 1u << 16;
 
-// Profile CONTENTS (ids/timestamps/scores). The decoded profile carries a
-// fresh local version stamp; cached norm and liked count are recomputed
-// and bit-equal to the source's (same entries, same left-to-right order).
+// Profile CONTENTS (ids/timestamps/scores). Decoding fills the arrays in
+// one pass and stamps one fresh local version; cached norm and liked count
+// are bit-equal to the source's (same entries, same left-to-right order).
 void encode_profile(std::vector<std::uint8_t>& out, const Profile& profile);
 bool decode_profile(WireReader& r, Profile& out);
 
-void encode_descriptor(std::vector<std::uint8_t>& out, const Descriptor& d);
-bool decode_descriptor(WireReader& r, Descriptor& out);
+// ---- Link snapshot tables ----
+//
+// One SnapshotSendTable per directed link at the sender and its mirror, a
+// SnapshotRecvTable, at the receiver; both are built with the same slot
+// count and fed the same envelope stream in the same order (the engine's
+// barrier exchange guarantees both). The sender alone decides which slot a
+// snapshot occupies and names it on the wire, so the receiver needs no
+// placement policy of its own. Not thread-safe: the engine encodes and
+// decodes on its main thread only. The telemetry counters
+// `wire.snapshot.full` and `wire.snapshot.ref` count the sender's
+// decisions while obs::enabled().
 
-void encode_message(std::vector<std::uint8_t>& out, const Message& m);
-bool decode_message(WireReader& r, Message& out);
+// Slots per table for a deployment of `nodes` nodes: a power of two and a
+// pure function of the node count, so every fragment derives the same N.
+std::size_t snapshot_table_slots(std::size_t nodes);
+
+class SnapshotSendTable {
+ public:
+  SnapshotSendTable() = default;
+  explicit SnapshotSendTable(std::size_t slots)
+      : versions_(slots, 0), last_use_(slots, 0) {}
+  std::size_t slots() const { return versions_.size(); }
+  std::size_t resident_bytes() const {
+    return versions_.capacity() * sizeof(std::uint64_t) +
+           last_use_.capacity() * sizeof(std::uint32_t);
+  }
+
+  // Where the blob at arena `index` with `version` goes, and whether that
+  // version already crossed the link (then a reference suffices). The
+  // blob's set is its index mod (slots / kWays); on a miss the set's least
+  // recently shipped way is handed to it.
+  struct Placement {
+    std::size_t slot = 0;
+    bool shipped = false;
+  };
+  Placement place(ArenaIndex index, std::uint64_t version);
+
+  static constexpr std::size_t kWays = 16;
+
+ private:
+  // Version last shipped per slot; 0 = vacant (non-empty profiles never
+  // carry version 0).
+  std::vector<std::uint64_t> versions_;
+  // LRU stamps (0 = vacant). A wrapped clock could only misjudge an
+  // eviction, never a reference: correctness rests on versions_ alone.
+  std::vector<std::uint32_t> last_use_;
+  std::uint32_t clock_ = 0;
+};
+
+class SnapshotRecvTable {
+ public:
+  SnapshotRecvTable() = default;
+  explicit SnapshotRecvTable(std::size_t slots)
+      : versions_(slots, 0), handles_(slots) {}
+  std::size_t slots() const { return versions_.size(); }
+  std::size_t resident_bytes() const {
+    return versions_.capacity() * sizeof(std::uint64_t) +
+           handles_.capacity() * sizeof(ProfileHandle);
+  }
+
+  // The record a reference (slot, version) names; nullptr when the slot is
+  // out of range, vacant or holds another version.
+  const ProfileHandle* resolve(std::uint64_t slot, std::uint64_t version) const;
+  // Records a full ship (slot < slots(), version != 0).
+  void store(std::size_t slot, std::uint64_t version, ProfileHandle handle);
+
+ private:
+  std::vector<std::uint64_t> versions_;  // sender's version; 0 = vacant
+  std::vector<ProfileHandle> handles_;   // the local record it resolves to
+};
+
+void encode_descriptor(std::vector<std::uint8_t>& out, const Descriptor& d,
+                       SnapshotSendTable& link);
+bool decode_descriptor(WireReader& r, Descriptor& out, SnapshotRecvTable& link);
+
+void encode_message(std::vector<std::uint8_t>& out, const Message& m,
+                    SnapshotSendTable& link);
+bool decode_message(WireReader& r, Message& out, SnapshotRecvTable& link);
 
 // One queued envelope as exchanged at cycle barriers: the absolute due
 // cycle (network draws happen sender-side; the receiver only buckets) plus
 // the message. Batches are plain concatenations of envelopes, decoded
-// until the reader is exhausted.
-void encode_envelope(std::vector<std::uint8_t>& out, Cycle due, const Message& m);
-bool decode_envelope(WireReader& r, Cycle& due, Message& out);
+// until the reader is exhausted, through the link's table.
+void encode_envelope(std::vector<std::uint8_t>& out, Cycle due, const Message& m,
+                     SnapshotSendTable& link);
+bool decode_envelope(WireReader& r, Cycle& due, Message& out,
+                     SnapshotRecvTable& link);
 
 // ---- Frames ----
 

@@ -66,6 +66,24 @@ void Profile::set(ItemId id, Cycle timestamp, double score) {
   bump_version();
 }
 
+void Profile::assign_ascending(std::span<const ItemId> ids,
+                               std::span<const Cycle> timestamps,
+                               std::span<const double> scores) {
+  const std::size_t n = ids.size();
+  ids_.resize(n);
+  timestamps_.resize(n);
+  scores_.resize(n);
+  std::size_t liked = 0;
+  for (std::size_t i = 0; i < n; ++i) {
+    ids_[i] = ids[i];
+    timestamps_[i] = timestamps[i];
+    scores_[i] = scores[i];
+    liked += scores[i] > 0.5 ? 1 : 0;
+  }
+  liked_ = liked;
+  bump_version();
+}
+
 void Profile::fold(ItemId id, Cycle timestamp, double score) {
   const std::size_t i = lower_bound(id);
   if (i < ids_.size() && ids_[i] == id) {

@@ -415,6 +415,21 @@ void Engine::ensure_shards() {
         16 * agents_.size(), kMinMaterializeScratchSlots,
         kMaxMaterializeScratchSlots));
   }
+  // Link snapshot tables, sized from the total node count. Every fragment
+  // sees the same count at the same point of the lockstep control plane
+  // (between cycles), so a resize empties both ends of every link before
+  // either encodes or decodes again: the tables stay mirrored.
+  const std::size_t slots = net::snapshot_table_slots(agents_.size());
+  if (fragments_ > 1 && slots != link_slots_) {
+    link_slots_ = slots;
+    link_out_.assign(fragments_, net::SnapshotSendTable());
+    link_in_.assign(fragments_, net::SnapshotRecvTable());
+    for (std::size_t f = 0; f < fragments_; ++f) {
+      if (f == fragment_) continue;
+      link_out_[f] = net::SnapshotSendTable(slots);
+      link_in_[f] = net::SnapshotRecvTable(slots);
+    }
+  }
 }
 
 Rng Engine::message_rng(NodeId from) {
@@ -445,12 +460,12 @@ void Engine::route_message(net::Message message) {
   const auto emit = [&](Cycle due, net::Message&& m) {
     if (owns(m.to)) {
       pending_local_.push_back(PendingMessage{due, std::move(m)});
-    } else if (!obs::enabled()) {
-      net::encode_envelope(wire_out_[m.to % fragments_], due, m);
+    } else if (const std::size_t f = m.to % fragments_; !obs::enabled()) {
+      net::encode_envelope(wire_out_[f], due, m, link_out_[f]);
     } else {
       const EngineMetrics& om = EngineMetrics::get();
       const std::uint64_t t0 = obs::now_ns();
-      net::encode_envelope(wire_out_[m.to % fragments_], due, m);
+      net::encode_envelope(wire_out_[f], due, m, link_out_[f]);
       obs::add(om.serialize_ns, obs::now_ns() - t0);
       obs::add(om.serialize_messages);
     }
@@ -541,7 +556,7 @@ void Engine::finish_slot() {
       net::WireReader reader(frames[f].data(), frames[f].size());
       while (reader.ok() && reader.remaining() > 0) {
         PendingMessage p;
-        if (!net::decode_envelope(reader, p.due, p.message)) {
+        if (!net::decode_envelope(reader, p.due, p.message, link_in_[f])) {
           throw std::runtime_error(
               "sim::Engine: corrupt envelope batch from peer fragment");
         }
@@ -698,6 +713,9 @@ Engine::MemoryStats Engine::memory_stats() const {
   for (const net::Message& m : staged_) total.payload_bytes += payload_heap(m);
   total.scratch_bytes += pending_local_.capacity() * sizeof(PendingMessage);
   for (const auto& batch : wire_out_) total.scratch_bytes += batch.capacity();
+  for (std::size_t f = 0; f < link_out_.size(); ++f) {
+    total.scratch_bytes += link_out_[f].resident_bytes() + link_in_[f].resident_bytes();
+  }
   const SnapshotArena::Stats arena = SnapshotArena::instance().stats();
   total.arena_bytes = arena.blobs.resident_bytes + arena.stamps.resident_bytes;
   total.materialize_slots = materialize_scratch_slots();

@@ -47,6 +47,7 @@
 #include "net/network.hpp"
 #include "net/size_model.hpp"
 #include "net/traffic.hpp"
+#include "net/wire.hpp"
 #include "sim/observer.hpp"
 #include "sim/transport.hpp"
 
@@ -236,7 +237,7 @@ class Engine : public ParallelExecutor {
     std::size_t mailbox_bytes = 0;   // ring buckets (envelope capacity)
     std::size_t payload_bytes = 0;   // descriptor vectors inside queued messages
     std::size_t outbox_bytes = 0;    // per-shard outbox capacity
-    std::size_t scratch_bytes = 0;   // delivery-batch scratch capacity
+    std::size_t scratch_bytes = 0;   // delivery-batch scratch + link tables
     std::size_t arena_bytes = 0;     // snapshot-arena slab storage (process-wide)
     // Materialize scratch: engine-chosen slot count and the per-thread
     // resident cost it implies (profile/compact.hpp).
@@ -326,6 +327,12 @@ class Engine : public ParallelExecutor {
   std::vector<PendingMessage> pending_local_;
   // Serialized envelope batches per destination fragment (own slot unused).
   std::vector<std::vector<std::uint8_t>> wire_out_;
+  // Mirrored snapshot tables per directed link (net/wire.hpp): link_out_[f]
+  // encodes this fragment's batches to f, link_in_[f] decodes f's batches.
+  // Own slot unused; ensure_shards() sizes them from the node count.
+  std::vector<net::SnapshotSendTable> link_out_;
+  std::vector<net::SnapshotRecvTable> link_in_;
+  std::size_t link_slots_ = 0;
 
   // Which of the cycle's three barrier slots finish_slot() is closing
   // (0 = flush, 1 = deliver commit, 2 = activate commit). Telemetry label

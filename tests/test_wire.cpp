@@ -1,24 +1,50 @@
 // Wire-codec contract (net/wire.hpp): every payload kind round-trips
-// bit-exactly through the fragment-exchange byte format, truncated input
-// is rejected (never read past the buffer, never fabricate a message),
-// and the frame layer detects corruption. The socket transport and the
-// distributed-smoke CI job both stand on these properties.
+// bit-exactly through the fragment-exchange byte format, snapshot
+// references resolve through the mirrored link tables to the record a full
+// ship interns, truncated or corrupt input is rejected (never read past
+// the buffer, never fabricate a message), and the frame layer detects
+// corruption. The socket transport and the distributed-smoke CI job both
+// stand on these properties.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <cstdint>
 #include <limits>
 #include <span>
 #include <utility>
 #include <vector>
 
+#include "common/rng.hpp"
 #include "net/message.hpp"
 #include "net/wire.hpp"
+#include "obs/registry.hpp"
 #include "profile/compact.hpp"
 #include "profile/profile.hpp"
 
 namespace whatsup::net {
 namespace {
+
+// Both ends of one directed fragment link.
+struct Link {
+  explicit Link(std::size_t slots = snapshot_table_slots(0))
+      : tx(slots), rx(slots) {}
+  SnapshotSendTable tx;
+  SnapshotRecvTable rx;
+};
+
+// Round-trips one descriptor through a fresh link.
+Descriptor roundtrip_descriptor(const Descriptor& in) {
+  Link link;
+  std::vector<std::uint8_t> buf;
+  encode_descriptor(buf, in, link.tx);
+  WireReader r(buf.data(), buf.size());
+  Descriptor out;
+  EXPECT_TRUE(decode_descriptor(r, out, link.rx));
+  EXPECT_TRUE(r.ok());
+  EXPECT_EQ(r.remaining(), 0u);
+  return out;
+}
 
 Profile binary_profile() {
   Profile p;
@@ -72,16 +98,21 @@ TEST(Wire, ProfileScoresRoundTripToTheBit) {
   ASSERT_EQ(out.size(), 2u);
   EXPECT_EQ(out.scores()[0], 0.1);
   EXPECT_EQ(out.scores()[1], 1.0 / 3.0);
+  // The one-pass decoder rebuilds the derived fields bit-equal too.
+  for (const Profile& in : {p, binary_profile(), real_profile(),
+                            wide_binary_profile()}) {
+    const Profile back = roundtrip_profile(in);
+    EXPECT_EQ(back.liked_count(), in.liked_count());
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(back.norm()),
+              std::bit_cast<std::uint64_t>(in.norm()));
+    EXPECT_NE(back.version(), 0u);
+  }
 }
 
 TEST(Wire, DescriptorRoundTripNullAndSnapshot) {
   // Bootstrap descriptor: address only, no snapshot.
   {
-    std::vector<std::uint8_t> buf;
-    encode_descriptor(buf, Descriptor{42, -1, ProfileHandle()});
-    WireReader r(buf.data(), buf.size());
-    Descriptor out;
-    ASSERT_TRUE(decode_descriptor(r, out));
+    const Descriptor out = roundtrip_descriptor(Descriptor{42, -1, ProfileHandle()});
     EXPECT_EQ(out.node, 42u);
     EXPECT_EQ(out.timestamp(), -1);
     EXPECT_FALSE(out.has_profile());
@@ -90,11 +121,7 @@ TEST(Wire, DescriptorRoundTripNullAndSnapshot) {
   // locally (content identity, not the sender's handle).
   {
     const Profile p = binary_profile();
-    std::vector<std::uint8_t> buf;
-    encode_descriptor(buf, make_descriptor(7, 12, p));
-    WireReader r(buf.data(), buf.size());
-    Descriptor out;
-    ASSERT_TRUE(decode_descriptor(r, out));
+    const Descriptor out = roundtrip_descriptor(make_descriptor(7, 12, p));
     EXPECT_EQ(out.node, 7u);
     EXPECT_EQ(out.timestamp(), 12);
     ASSERT_TRUE(out.has_profile());
@@ -102,11 +129,7 @@ TEST(Wire, DescriptorRoundTripNullAndSnapshot) {
   }
   // Empty-but-present snapshot stays distinct from the null handle.
   {
-    std::vector<std::uint8_t> buf;
-    encode_descriptor(buf, make_descriptor(9, 3, Profile{}));
-    WireReader r(buf.data(), buf.size());
-    Descriptor out;
-    ASSERT_TRUE(decode_descriptor(r, out));
+    const Descriptor out = roundtrip_descriptor(make_descriptor(9, 3, Profile{}));
     ASSERT_TRUE(out.has_profile());
     EXPECT_EQ(out.profile_size(), 0u);
   }
@@ -117,8 +140,8 @@ TEST(Wire, PackedDescriptorCorpusRoundTrip) {
   // in-memory encodings — null, inline 31-bit timestamp (profile-less),
   // and arena stamp record — and the wire format must be agnostic to which
   // one the sender held: bytes carry (node, timestamp, profile contents),
-  // never arena indices. Sweep a corpus across every encoding and both
-  // inline-tag boundaries (±2^30).
+  // never a stamp-record index. Sweep a corpus across every encoding and
+  // both inline-tag boundaries (±2^30).
   static_assert(sizeof(Descriptor) == 8);
   const Profile snap = binary_profile();
   struct Case {
@@ -146,12 +169,7 @@ TEST(Wire, PackedDescriptorCorpusRoundTrip) {
                        : Descriptor{c.node, c.ts, nullptr};
     ASSERT_EQ(in.timestamp(), c.ts);  // packing itself must not clip
     ASSERT_EQ(in.has_profile(), c.with_profile);
-    std::vector<std::uint8_t> buf;
-    encode_descriptor(buf, in);
-    WireReader r(buf.data(), buf.size());
-    Descriptor out;
-    ASSERT_TRUE(decode_descriptor(r, out));
-    EXPECT_TRUE(r.ok());
+    const Descriptor out = roundtrip_descriptor(in);
     EXPECT_EQ(out.node, c.node);
     EXPECT_EQ(out.timestamp(), c.ts);
     EXPECT_EQ(out.has_profile(), c.with_profile);
@@ -160,11 +178,12 @@ TEST(Wire, PackedDescriptorCorpusRoundTrip) {
 }
 
 Message roundtrip_message(const Message& in) {
+  Link link;
   std::vector<std::uint8_t> buf;
-  encode_message(buf, in);
+  encode_message(buf, in, link.tx);
   WireReader r(buf.data(), buf.size());
   Message out;
-  EXPECT_TRUE(decode_message(r, out));
+  EXPECT_TRUE(decode_message(r, out, link.rx));
   EXPECT_EQ(r.remaining(), 0u);
   EXPECT_EQ(out.from, in.from);
   EXPECT_EQ(out.to, in.to);
@@ -276,17 +295,19 @@ TEST(Wire, AckMessageRoundTrip) {
 }
 
 TEST(Wire, EnvelopeRoundTrip) {
+  Link link;
   std::vector<std::uint8_t> buf;
   const Message in = view_message(MsgType::kRpsRequest);
-  encode_envelope(buf, 37, in);
-  encode_envelope(buf, 38, in);  // batches are plain concatenations
+  encode_envelope(buf, 37, in, link.tx);
+  encode_envelope(buf, 38, in, link.tx);  // batches are plain concatenations
   WireReader r(buf.data(), buf.size());
   Cycle due = 0;
   Message out;
-  ASSERT_TRUE(decode_envelope(r, due, out));
+  ASSERT_TRUE(decode_envelope(r, due, out, link.rx));
   EXPECT_EQ(due, 37);
-  ASSERT_TRUE(decode_envelope(r, due, out));
+  ASSERT_TRUE(decode_envelope(r, due, out, link.rx));
   EXPECT_EQ(due, 38);
+  expect_view_equal(out.view(), in.view());  // the second copy rode references
   EXPECT_EQ(r.remaining(), 0u);
 }
 
@@ -315,12 +336,14 @@ TEST(Wire, TruncatedMessagesAreRejectedAtEveryLength) {
     corpus.push_back(std::move(m));
   }
   for (const Message& m : corpus) {
+    Link link;
     std::vector<std::uint8_t> buf;
-    encode_message(buf, m);
+    encode_message(buf, m, link.tx);
     for (std::size_t len = 0; len < buf.size(); ++len) {
       WireReader r(buf.data(), len);
+      SnapshotRecvTable rx(link.rx.slots());
       Message out;
-      EXPECT_FALSE(decode_message(r, out)) << "prefix length " << len;
+      EXPECT_FALSE(decode_message(r, out, rx)) << "prefix length " << len;
     }
   }
 }
@@ -328,23 +351,25 @@ TEST(Wire, TruncatedMessagesAreRejectedAtEveryLength) {
 TEST(Wire, CorruptFieldsAreRejected) {
   // Out-of-range message type.
   {
+    Link link;
     std::vector<std::uint8_t> buf;
-    encode_message(buf, view_message(MsgType::kRpsRequest));
+    encode_message(buf, view_message(MsgType::kRpsRequest), link.tx);
     // Header layout: from, to, sent_at, seq (single-byte varints here),
     // then the type byte at offset 4.
     buf[4] = 0xff;
     WireReader r(buf.data(), buf.size());
     Message out;
-    EXPECT_FALSE(decode_message(r, out));
+    EXPECT_FALSE(decode_message(r, out, link.rx));
   }
   // Out-of-range payload index (offset 5).
   {
+    Link link;
     std::vector<std::uint8_t> buf;
-    encode_message(buf, view_message(MsgType::kRpsRequest));
+    encode_message(buf, view_message(MsgType::kRpsRequest), link.tx);
     buf[5] = 3;
     WireReader r(buf.data(), buf.size());
     Message out;
-    EXPECT_FALSE(decode_message(r, out));
+    EXPECT_FALSE(decode_message(r, out, link.rx));
   }
   // Duplicate profile ids (zero delta after the first entry).
   {
@@ -352,6 +377,21 @@ TEST(Wire, CorruptFieldsAreRejected) {
     wire_varint(buf, 2);  // count
     wire_varint(buf, 5);  // first id
     wire_varint(buf, 0);  // delta 0 => duplicate id
+    WireReader r(buf.data(), buf.size());
+    Profile out;
+    EXPECT_FALSE(decode_profile(r, out));
+  }
+  // Id deltas that wrap past 2^64 would break the ascending order the
+  // one-pass decoder loads as-is.
+  {
+    std::vector<std::uint8_t> buf;
+    wire_varint(buf, 2);                           // count
+    wire_varint(buf, ~std::uint64_t{0} - 1);       // first id
+    wire_varint(buf, 3);                           // wraps to 1
+    wire_zigzag(buf, 0);
+    wire_zigzag(buf, 0);
+    wire_u8(buf, 1);
+    wire_u8(buf, 0);
     WireReader r(buf.data(), buf.size());
     Profile out;
     EXPECT_FALSE(decode_profile(r, out));
@@ -458,13 +498,275 @@ TEST(Wire, CorruptFramesAreDetected) {
   }
 }
 
+// ---- Link snapshot tables ----
+
+// Byte offset of a descriptor's snapshot tag when node and timestamp both
+// encode as one-byte varints.
+constexpr std::size_t kTagOffset = 2;
+constexpr std::uint8_t kTagFull = 2;
+constexpr std::uint8_t kTagRef = 3;
+
+std::uint64_t counter_value(const char* name) {
+  for (const obs::MetricValue& m : obs::Registry::instance().merge()) {
+    if (m.name == name) return m.value;
+  }
+  return 0;
+}
+
+TEST(WireLink, FirstShipIsFullSecondIsReference) {
+  obs::Registry::instance().reset();
+  obs::set_enabled(true);
+  Link link;
+  const Descriptor in = make_descriptor(7, 12, wide_binary_profile());
+  std::vector<std::uint8_t> first;
+  std::vector<std::uint8_t> second;
+  encode_descriptor(first, in, link.tx);
+  encode_descriptor(second, in, link.tx);
+  obs::set_enabled(false);
+  EXPECT_EQ(counter_value("wire.snapshot.full"), 1u);
+  EXPECT_EQ(counter_value("wire.snapshot.ref"), 1u);
+  ASSERT_GT(first.size(), kTagOffset);
+  ASSERT_GT(second.size(), kTagOffset);
+  EXPECT_EQ(first[kTagOffset], kTagFull);
+  EXPECT_EQ(second[kTagOffset], kTagRef);
+  EXPECT_LT(second.size(), first.size());
+
+  Descriptor a;
+  Descriptor b;
+  WireReader ra(first.data(), first.size());
+  ASSERT_TRUE(decode_descriptor(ra, a, link.rx));
+  WireReader rb(second.data(), second.size());
+  ASSERT_TRUE(decode_descriptor(rb, b, link.rx));
+  EXPECT_EQ(rb.remaining(), 0u);
+  // The reference resolves to the very record the full ship interned.
+  EXPECT_EQ(a.profile(), b.profile());
+  EXPECT_EQ(b.node, 7u);
+  EXPECT_EQ(b.timestamp(), 12);
+  EXPECT_EQ(b.profile_ref(), wide_binary_profile());
+  // Another link starts cold: its first crossing ships in full again.
+  Link other;
+  std::vector<std::uint8_t> third;
+  encode_descriptor(third, in, other.tx);
+  EXPECT_EQ(third[kTagOffset], kTagFull);
+}
+
+TEST(WireLink, ReusedBlobIndexWithNewVersionShipsFull) {
+  SnapshotArena& arena = SnapshotArena::instance();
+  Link link;
+  std::vector<std::uint8_t> first;
+  ArenaIndex index = kNullArenaIndex;
+  {
+    // A detached record frees its slot as soon as the descriptor drops.
+    const Descriptor d{1, 5, arena.encode_detached(binary_profile())};
+    index = d.profile().slot();
+    encode_descriptor(first, d, link.tx);
+  }
+  const Descriptor d{1, 6, arena.encode_detached(real_profile())};
+  ASSERT_EQ(d.profile().slot(), index) << "the arena recycles the freed slot";
+  std::vector<std::uint8_t> second;
+  encode_descriptor(second, d, link.tx);
+  EXPECT_EQ(first[kTagOffset], kTagFull);
+  EXPECT_EQ(second[kTagOffset], kTagFull);  // same slot, new version
+
+  Descriptor out;
+  WireReader ra(first.data(), first.size());
+  ASSERT_TRUE(decode_descriptor(ra, out, link.rx));
+  EXPECT_EQ(out.profile_ref(), binary_profile());
+  WireReader rb(second.data(), second.size());
+  ASSERT_TRUE(decode_descriptor(rb, out, link.rx));
+  EXPECT_EQ(out.profile_ref(), real_profile());
+}
+
+// A hand-built descriptor: one-byte node and timestamp, then `tag`,
+// `slot` and `version`.
+std::vector<std::uint8_t> descriptor_bytes(std::uint8_t tag, std::uint64_t slot,
+                                           std::uint64_t version) {
+  std::vector<std::uint8_t> buf;
+  wire_varint(buf, 4);
+  wire_zigzag(buf, 9);
+  wire_u8(buf, tag);
+  wire_varint(buf, slot);
+  wire_varint(buf, version);
+  return buf;
+}
+
+TEST(WireLink, OutOfRangeIndexIsRejected) {
+  Link link(8);
+  for (const std::uint8_t tag : {kTagFull, kTagRef}) {
+    for (const std::uint64_t slot : {std::uint64_t{8}, std::uint64_t{1} << 40}) {
+      std::vector<std::uint8_t> buf = descriptor_bytes(tag, slot, 1);
+      encode_profile(buf, binary_profile());  // contents, for the full tag
+      WireReader r(buf.data(), buf.size());
+      Descriptor out;
+      EXPECT_FALSE(decode_descriptor(r, out, link.rx))
+          << "tag " << int(tag) << " slot " << slot;
+    }
+  }
+  // Unknown tag.
+  std::vector<std::uint8_t> buf = descriptor_bytes(4, 0, 1);
+  WireReader r(buf.data(), buf.size());
+  Descriptor out;
+  EXPECT_FALSE(decode_descriptor(r, out, link.rx));
+}
+
+TEST(WireLink, VersionMismatchIsRejected) {
+  Link link;
+  const Descriptor in = make_descriptor(4, 9, binary_profile());
+  const std::uint64_t version = in.profile().version();
+  std::vector<std::uint8_t> full;
+  encode_descriptor(full, in, link.tx);
+  // The slot the sender chose, as the full ship names it.
+  WireReader header(full.data(), full.size());
+  (void)header.read_varint();
+  (void)header.read_zigzag();
+  ASSERT_EQ(header.read_u8(), kTagFull);
+  const std::uint64_t slot = header.read_varint();
+  ASSERT_EQ(header.read_varint(), version);
+  // A reference into the still-vacant slot.
+  {
+    std::vector<std::uint8_t> buf = descriptor_bytes(kTagRef, slot, version);
+    WireReader r(buf.data(), buf.size());
+    Descriptor out;
+    EXPECT_FALSE(decode_descriptor(r, out, link.rx));
+  }
+  WireReader rf(full.data(), full.size());
+  Descriptor out;
+  ASSERT_TRUE(decode_descriptor(rf, out, link.rx));
+  // The right slot under another version, and version 0 (the vacant key).
+  for (const std::uint64_t other : {version + 1, std::uint64_t{0}}) {
+    std::vector<std::uint8_t> buf = descriptor_bytes(kTagRef, slot, other);
+    WireReader r(buf.data(), buf.size());
+    EXPECT_FALSE(decode_descriptor(r, out, link.rx)) << "version " << other;
+  }
+  // The matching reference resolves.
+  std::vector<std::uint8_t> ok = descriptor_bytes(kTagRef, slot, version);
+  WireReader r(ok.data(), ok.size());
+  ASSERT_TRUE(decode_descriptor(r, out, link.rx));
+  EXPECT_EQ(out.profile_ref(), binary_profile());
+}
+
+// Every strict prefix of a batch whose second envelope rides references is
+// rejected, except the one cut exactly between the envelopes, which is the
+// (valid) one-envelope batch. A reader that fails on a reference must fail
+// cleanly, whatever state the table reached.
+TEST(WireLink, EveryPrefixOfABatchWithReferencesIsRejected) {
+  Link link;
+  const Message m = view_message(MsgType::kWupReply);
+  std::vector<std::uint8_t> batch;
+  encode_envelope(batch, 40, m, link.tx);
+  const std::size_t boundary = batch.size();
+  encode_envelope(batch, 41, m, link.tx);  // every snapshot now a reference
+  ASSERT_LT(batch.size() - boundary, boundary);
+  for (std::size_t len = 0; len < batch.size(); ++len) {
+    SnapshotRecvTable rx(link.rx.slots());
+    WireReader r(batch.data(), len);
+    std::size_t decoded = 0;
+    bool failed = false;
+    while (r.ok() && r.remaining() > 0) {
+      Cycle due = 0;
+      Message out;
+      if (!decode_envelope(r, due, out, rx)) {
+        failed = true;
+        break;
+      }
+      ++decoded;
+    }
+    if (len == boundary) {
+      EXPECT_FALSE(failed);
+      EXPECT_EQ(decoded, 1u);
+    } else {
+      EXPECT_TRUE(failed || len == 0) << "prefix length " << len;
+    }
+  }
+  // A table that missed the first envelope cannot resolve the second.
+  SnapshotRecvTable cold(link.rx.slots());
+  WireReader r(batch.data() + boundary, batch.size() - boundary);
+  Cycle due = 0;
+  Message out;
+  EXPECT_FALSE(decode_envelope(r, due, out, cold));
+}
+
+// A randomized corpus through a 2-slot link: snapshots collide in the
+// table constantly, so full ships evict each other, and every decoded
+// descriptor must still carry exactly the contents that were encoded.
+TEST(WireLink, RandomCorpusThroughCollidingTableDecodesIdentically) {
+  Rng rng(2024);
+  std::vector<Profile> pool;
+  for (int i = 0; i < 12; ++i) {
+    Profile p;
+    const std::size_t n = rng.index(14);
+    for (std::size_t k = 0; k < n; ++k) {
+      p.set(rng.index(200) + 1, static_cast<Cycle>(rng.index(50)) - 5,
+            i % 4 == 0 ? rng.uniform() : static_cast<double>(rng.index(2)));
+    }
+    pool.push_back(p);
+  }
+  std::vector<ProfileHandle> handles;
+  for (const Profile& p : pool) handles.push_back(ProfileHandle::snapshot(p));
+
+  obs::Registry::instance().reset();
+  obs::set_enabled(true);
+  Link link(2);
+  std::size_t profiled = 0;
+  for (int batch = 0; batch < 40; ++batch) {
+    std::vector<Message> sent;
+    std::vector<std::uint8_t> bytes;
+    const std::size_t messages = 1 + rng.index(4);
+    for (std::size_t k = 0; k < messages; ++k) {
+      Message m;
+      m.from = static_cast<NodeId>(rng.index(100));
+      m.to = static_cast<NodeId>(rng.index(100));
+      m.type = MsgType::kRpsReply;
+      ViewPayload v;
+      const auto pick = [&](NodeId node) {
+        const Cycle ts = static_cast<Cycle>(rng.index(300));
+        switch (rng.index(4)) {
+          case 0:
+            return Descriptor{node, ts, nullptr};
+          default: {
+            const std::size_t i = rng.index(pool.size());
+            if (!pool[i].empty()) ++profiled;
+            return Descriptor{node, ts, handles[i]};
+          }
+        }
+      };
+      v.sender = pick(m.from);
+      const std::size_t width = rng.index(6);
+      for (std::size_t d = 0; d < width; ++d) {
+        v.view.push_back(pick(static_cast<NodeId>(rng.index(100))));
+      }
+      m.payload = std::move(v);
+      encode_envelope(bytes, static_cast<Cycle>(batch), m, link.tx);
+      sent.push_back(std::move(m));
+    }
+    WireReader r(bytes.data(), bytes.size());
+    for (const Message& in : sent) {
+      Cycle due = 0;
+      Message out;
+      ASSERT_TRUE(decode_envelope(r, due, out, link.rx)) << "batch " << batch;
+      EXPECT_EQ(due, batch);
+      expect_view_equal(out.view(), in.view());
+      EXPECT_EQ(out.view().sender.has_profile(), in.view().sender.has_profile());
+      EXPECT_EQ(out.view().sender.profile_ref(), in.view().sender.profile_ref());
+    }
+    EXPECT_EQ(r.remaining(), 0u);
+  }
+  obs::set_enabled(false);
+  const std::uint64_t full = counter_value("wire.snapshot.full");
+  const std::uint64_t ref = counter_value("wire.snapshot.ref");
+  EXPECT_EQ(full + ref, profiled);
+  EXPECT_GT(full, 0u);
+  EXPECT_GT(ref, 0u);
+}
+
 // An encoded envelope survives the frame layer byte-exactly — the full
 // path a cross-fragment message takes (encode -> frame -> socket ->
 // extract -> decode).
 TEST(Wire, EnvelopeThroughFrameLayer) {
+  Link link;
   std::vector<std::uint8_t> batch;
   const Message in = view_message(MsgType::kWupRequest);
-  encode_envelope(batch, 41, in);
+  encode_envelope(batch, 41, in, link.tx);
   std::vector<std::uint8_t> stream;
   frame_append(stream, batch);
 
@@ -475,7 +777,7 @@ TEST(Wire, EnvelopeThroughFrameLayer) {
   WireReader r(payload);
   Cycle due = 0;
   Message out;
-  ASSERT_TRUE(decode_envelope(r, due, out));
+  ASSERT_TRUE(decode_envelope(r, due, out, link.rx));
   EXPECT_EQ(due, 41);
   EXPECT_EQ(out.type, MsgType::kWupRequest);
   expect_view_equal(out.view(), in.view());
