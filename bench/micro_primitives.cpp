@@ -63,9 +63,10 @@ Profile random_profile(Rng& rng, std::size_t entries, ItemId universe) {
 }
 
 // The production scoring loop of the WUP clustering protocol: a node
-// scores its candidate descriptors every merge, decoding each snapshot
-// through the materialize scratch, with one candidate profile churned
-// between merges (the steady-state gossip pattern).
+// prepares its own profile once per merge and scores its candidate
+// descriptors against it, decoding each snapshot through the materialize
+// scratch, with one candidate profile churned between merges (the
+// steady-state gossip pattern).
 void BM_WupSimilarity(benchmark::State& state) {
   Rng rng(1);
   const auto size = static_cast<std::size_t>(state.range(0));
@@ -76,15 +77,17 @@ void BM_WupSimilarity(benchmark::State& state) {
     candidates.push_back(
         net::make_descriptor(static_cast<NodeId>(i), 0, random_profile(rng, size, 4 * size)));
   }
+  SimilarityScorer scorer;
   for (auto _ : state) {
     // Gossip churn: one candidate re-rated an item since the last merge.
     net::Descriptor& churned = candidates[rng.index(kCandidates)];
     Profile fresh = churned.profile_ref();
     fresh.set(rng.index(4 * size) + 1, 0, rng.bernoulli(0.5) ? 1.0 : 0.0);
     churned = net::make_descriptor(churned.node, churned.timestamp(), fresh);
+    scorer.prepare(Metric::kWup, subject);
     double total = 0.0;
     for (const net::Descriptor& d : candidates) {
-      total += wup_similarity(subject, d.profile_ref());
+      total += scorer.score(d.profile_ref());
     }
     benchmark::DoNotOptimize(total);
   }
@@ -92,14 +95,17 @@ void BM_WupSimilarity(benchmark::State& state) {
 }
 BENCHMARK(BM_WupSimilarity)->Arg(16)->Arg(64)->Arg(256);
 
-// The raw pairwise kernel (one subject/candidate pair, fixed operands).
+// The raw scoring kernel (one prepared subject, one candidate, fixed
+// operands).
 void BM_WupSimilarityKernel(benchmark::State& state) {
   Rng rng(1);
   const auto size = static_cast<std::size_t>(state.range(0));
   const Profile a = random_profile(rng, size, 4 * size);
   const Profile b = random_profile(rng, size, 4 * size);
+  SimilarityScorer scorer;
+  scorer.prepare(Metric::kWup, a);
   for (auto _ : state) {
-    benchmark::DoNotOptimize(wup_similarity(a, b));
+    benchmark::DoNotOptimize(scorer.score(b));
   }
   state.SetItemsProcessed(state.iterations());
 }
@@ -139,11 +145,17 @@ void BM_ViewMergeClosest(benchmark::State& state) {
     candidates.push_back(
         net::make_descriptor(static_cast<NodeId>(i), 0, random_profile(rng, 100, 400)));
   }
+  std::vector<const net::Descriptor*> borrowed;
+  for (const net::Descriptor& d : candidates) borrowed.push_back(&d);
+  gossip::View view(20);
+  const std::uint64_t before = allocs_now();
   for (auto _ : state) {
-    gossip::View view(20);
-    view.assign_closest(candidates, own, Metric::kWup, rng);
+    view.assign_closest(borrowed, own, Metric::kWup, rng);
     benchmark::DoNotOptimize(view);
   }
+  state.counters["allocs_per_op"] = benchmark::Counter(
+      static_cast<double>(allocs_now() - before) /
+      static_cast<double>(state.iterations()));
   state.SetItemsProcessed(state.iterations() * n_candidates);
 }
 BENCHMARK(BM_ViewMergeClosest)->Arg(30)->Arg(70)->Arg(150);
@@ -289,9 +301,16 @@ void BM_MergeCandidates(benchmark::State& state) {
     incoming.push_back(
         net::Descriptor{v + 20, static_cast<Cycle>(rng.index(100)), nullptr});
   }
+  std::vector<const net::Descriptor*> merged;
+  const std::uint64_t before = allocs_now();
   for (auto _ : state) {
-    benchmark::DoNotOptimize(gossip::merge_candidates(base, incoming, 0));
+    gossip::merge_candidates(base, {incoming}, 0, merged);
+    benchmark::DoNotOptimize(merged.data());
+    benchmark::ClobberMemory();
   }
+  state.counters["allocs_per_op"] = benchmark::Counter(
+      static_cast<double>(allocs_now() - before) /
+      static_cast<double>(state.iterations()));
 }
 BENCHMARK(BM_MergeCandidates);
 

@@ -7,6 +7,9 @@ namespace whatsup::beep {
 NodeId select_most_similar(const gossip::View& view, const Profile& item_profile,
                            Metric metric, Rng& rng,
                            std::span<const NodeId> excluded) {
+  // One scorer per thread: the item profile is prepared once per pick.
+  thread_local SimilarityScorer scorer;
+  scorer.prepare(metric, item_profile);
   NodeId best = kNoNode;
   double best_score = -1.0;
   std::size_t ties = 0;
@@ -14,7 +17,7 @@ NodeId select_most_similar(const gossip::View& view, const Profile& item_profile
     if (std::find(excluded.begin(), excluded.end(), d.node) != excluded.end()) {
       continue;
     }
-    const double score = similarity(metric, item_profile, d.profile_ref());
+    const double score = scorer.score(d.profile_ref());
     if (score > best_score) {
       best_score = score;
       best = d.node;

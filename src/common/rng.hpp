@@ -56,10 +56,14 @@ class Rng {
 
   // Fisher–Yates shuffle.
   template <typename T>
-  void shuffle(std::vector<T>& v) {
+  void shuffle(std::span<T> v) {
     for (std::size_t i = v.size(); i > 1; --i) {
       std::swap(v[i - 1], v[index(i)]);
     }
+  }
+  template <typename T>
+  void shuffle(std::vector<T>& v) {
+    shuffle(std::span<T>(v));
   }
 
   // k distinct indices sampled uniformly from [0, n) (k clamped to n).

@@ -50,11 +50,8 @@ void ClusteringProtocol::on_reply(sim::Context& ctx, const net::ViewPayload& pay
 
 void ClusteringProtocol::merge(sim::Context& ctx, const net::ViewPayload& payload,
                                const Profile& own_profile, const View& rps_view) {
-  std::vector<net::Descriptor> incoming = payload.view;
-  incoming.push_back(payload.sender);
-  incoming.insert(incoming.end(), rps_view.entries().begin(), rps_view.entries().end());
-  auto merged = merge_candidates(view_.entries(), incoming, self_);
-  view_.assign_closest(std::move(merged), own_profile, metric_, ctx.rng());
+  view_.merge_closest({payload.view, {&payload.sender, 1}, rps_view.entries()}, self_,
+                      own_profile, metric_, ctx.rng());
 }
 
 double ClusteringProtocol::avg_similarity(const Profile& own_profile) const {

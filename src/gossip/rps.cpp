@@ -45,10 +45,7 @@ void Rps::on_reply(sim::Context& ctx, const net::ViewPayload& payload) {
 }
 
 void Rps::merge(sim::Context& ctx, const net::ViewPayload& payload) {
-  std::vector<net::Descriptor> incoming = payload.view;
-  incoming.push_back(payload.sender);
-  auto merged = merge_candidates(view_.entries(), incoming, self_);
-  view_.assign_random(std::move(merged), ctx.rng());
+  view_.merge_random({payload.view, {&payload.sender, 1}}, self_, ctx.rng());
 }
 
 }  // namespace whatsup::gossip

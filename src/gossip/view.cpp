@@ -1,6 +1,10 @@
 #include "gossip/view.hpp"
 
 #include <algorithm>
+#include <cstddef>
+#include <cstdint>
+#include <functional>
+#include <iterator>
 #include <unordered_map>
 
 namespace whatsup::gossip {
@@ -80,21 +84,93 @@ std::vector<NodeId> View::members() const {
   return ids;
 }
 
-void View::assign_random(std::vector<net::Descriptor> candidates, Rng& rng) {
-  rng.shuffle(candidates);
-  if (candidates.size() > capacity_) candidates.resize(capacity_);
-  entries_ = std::move(candidates);
+namespace {
+
+// Per-thread merge scratch: shard workers merge concurrently, each on its
+// own buffers, which keep their capacity across merges.
+struct MergeScratch {
+  // merge_candidates' chained hash table (see libstdcxx_bucket_count).
+  struct Node {
+    NodeId node;
+    std::int32_t next;  // next node of the same bucket, -1 at the end
+    const net::Descriptor* d;
+  };
+  std::vector<std::int32_t> heads;      // per bucket: newest node, or -1
+  std::vector<Node> nodes;
+  std::vector<std::uint32_t> occupied;  // buckets in first-occupation order
+  std::vector<const net::Descriptor*> candidates;
+  std::vector<std::pair<double, std::size_t>> scored;
+  std::vector<const net::Descriptor*> kept;
+  std::vector<net::Descriptor> staged;
+  SimilarityScorer scorer;
+};
+
+MergeScratch& scratch() {
+  thread_local MergeScratch s;
+  return s;
 }
 
-void View::assign_closest(std::vector<net::Descriptor> candidates, const Profile& own_profile,
-                          Metric metric, Rng& rng) {
+// Bucket count of a libstdc++ std::unordered_map<NodeId, ...> reserved to
+// `n` entries, read off a real map so its rehash policy is the library's
+// own. merge_candidates reproduces that map's layout: bucket = id % count
+// (std::hash of an integer is the identity), and a map reserved to n never
+// rehashes during n inserts. Cached per thread for the usual merge sizes.
+std::size_t libstdcxx_bucket_count(std::size_t n) {
+  constexpr std::size_t kCached = 1024;
+  thread_local std::vector<std::size_t> cache(kCached, 0);
+  if (n < kCached && cache[n] != 0) return cache[n];
+  std::unordered_map<NodeId, const net::Descriptor*> reserved;
+  reserved.reserve(n);
+  const std::size_t count = reserved.bucket_count();
+  if (n < kCached) cache[n] = count;
+  return count;
+}
+
+}  // namespace
+
+void View::replace_with(std::span<const net::Descriptor* const> kept) {
+  // Kept entries of this view move (no snapshot refcount traffic); entries
+  // borrowed from elsewhere are copied.
+  std::vector<net::Descriptor>& staged = scratch().staged;
+  const net::Descriptor* first = entries_.data();
+  const net::Descriptor* last = first + entries_.size();
+  for (const net::Descriptor* d : kept) {
+    if (!std::less<>{}(d, first) && std::less<>{}(d, last)) {
+      staged.push_back(std::move(entries_[static_cast<std::size_t>(d - first)]));
+    } else {
+      staged.push_back(*d);
+    }
+  }
+  entries_.clear();
+  entries_.reserve(staged.size());
+  std::move(staged.begin(), staged.end(), std::back_inserter(entries_));
+  staged.clear();
+}
+
+void View::assign_random(std::span<const net::Descriptor*> candidates, Rng& rng) {
+  rng.shuffle(candidates);
+  replace_with(candidates.first(std::min(candidates.size(), capacity_)));
+}
+
+void View::assign_closest(std::span<const net::Descriptor*> candidates,
+                          const Profile& own_profile, Metric metric, Rng& rng) {
   // Random shuffle before selection randomizes tie-breaking, which matters
   // at cold start when every similarity is 0.
   rng.shuffle(candidates);
-  std::vector<std::pair<double, std::size_t>> scored;
-  scored.reserve(candidates.size());
-  for (std::size_t i = 0; i < candidates.size(); ++i) {
-    scored.emplace_back(similarity(metric, own_profile, candidates[i].profile_ref()), i);
+  MergeScratch& s = scratch();
+  s.scorer.prepare(metric, own_profile);
+  std::vector<std::pair<double, std::size_t>>& scored = s.scored;
+  scored.clear();
+  // Scoring is bound by the latency of the stamp record -> scratch slot ->
+  // arrays chain; hints for later candidates overlap those misses.
+  using Prefetch = DescriptorRef::Prefetch;
+  constexpr std::size_t kAhead = 3;
+  const std::size_t n = candidates.size();
+  for (std::size_t i = 0; i < n; ++i) {
+    if (i + 3 * kAhead < n) candidates[i + 3 * kAhead]->prefetch(Prefetch::kRecord);
+    if (i + 2 * kAhead < n) candidates[i + 2 * kAhead]->prefetch(Prefetch::kSlot);
+    if (i + kAhead < n) candidates[i + kAhead]->prefetch(Prefetch::kContents);
+    scored.emplace_back(s.scorer.score(candidates[i]->profile_ref()), i);
   }
   // (descending score, ascending shuffled position) is a strict total order
   // — exactly the ranking the seed's shuffle + stable_sort produced — so
@@ -111,33 +187,57 @@ void View::assign_closest(std::vector<net::Descriptor> candidates, const Profile
     scored.resize(capacity_);
   }
   std::sort(scored.begin(), scored.end(), ranks_before);
-  std::vector<net::Descriptor> kept;
-  kept.reserve(scored.size());
-  for (const auto& ranked : scored) {
-    kept.push_back(std::move(candidates[ranked.second]));
-  }
-  entries_ = std::move(kept);
+  s.kept.clear();
+  for (const auto& ranked : scored) s.kept.push_back(candidates[ranked.second]);
+  replace_with(s.kept);
 }
 
-std::vector<net::Descriptor> merge_candidates(std::span<const net::Descriptor> base,
-                                              std::span<const net::Descriptor> incoming,
-                                              NodeId self) {
-  std::unordered_map<NodeId, net::Descriptor> best;
-  best.reserve(base.size() + incoming.size());
+void View::merge_random(std::initializer_list<std::span<const net::Descriptor>> incoming,
+                        NodeId self, Rng& rng) {
+  std::vector<const net::Descriptor*>& candidates = scratch().candidates;
+  merge_candidates(entries_, incoming, self, candidates);
+  assign_random(candidates, rng);
+}
+
+void View::merge_closest(std::initializer_list<std::span<const net::Descriptor>> incoming,
+                         NodeId self, const Profile& own_profile, Metric metric, Rng& rng) {
+  std::vector<const net::Descriptor*>& candidates = scratch().candidates;
+  merge_candidates(entries_, incoming, self, candidates);
+  assign_closest(candidates, own_profile, metric, rng);
+}
+
+void merge_candidates(std::span<const net::Descriptor> base,
+                      std::initializer_list<std::span<const net::Descriptor>> incoming,
+                      NodeId self, std::vector<const net::Descriptor*>& out) {
+  std::size_t total = base.size();
+  for (const auto& part : incoming) total += part.size();
+  MergeScratch& s = scratch();
+  const std::size_t buckets = libstdcxx_bucket_count(total);
+  s.heads.assign(buckets, -1);
+  s.nodes.clear();
+  s.occupied.clear();
   auto absorb = [&](const net::Descriptor& d) {
     if (d.node == self || d.node == kNoNode) return;
-    const auto it = best.find(d.node);
-    if (it == best.end() || d.timestamp() > it->second.timestamp()) best[d.node] = d;
+    const std::size_t b = d.node % buckets;
+    for (std::int32_t i = s.heads[b]; i >= 0; i = s.nodes[i].next) {
+      if (s.nodes[i].node != d.node) continue;
+      if (d.timestamp() > s.nodes[i].d->timestamp()) s.nodes[i].d = &d;
+      return;
+    }
+    if (s.heads[b] < 0) s.occupied.push_back(static_cast<std::uint32_t>(b));
+    s.nodes.push_back({d.node, s.heads[b], &d});
+    s.heads[b] = static_cast<std::int32_t>(s.nodes.size() - 1);
   };
   for (const net::Descriptor& d : base) absorb(d);
-  for (const net::Descriptor& d : incoming) absorb(d);
-  std::vector<net::Descriptor> merged;
-  merged.reserve(best.size());
-  for (auto& [node, d] : best) {
-    (void)node;
-    merged.push_back(std::move(d));
+  for (const auto& part : incoming) {
+    for (const net::Descriptor& d : part) absorb(d);
   }
-  return merged;
+  // The map's list order: the most recently first-occupied bucket first,
+  // and within a bucket the most recent insertion first.
+  out.clear();
+  for (auto b = s.occupied.rbegin(); b != s.occupied.rend(); ++b) {
+    for (std::int32_t i = s.heads[*b]; i >= 0; i = s.nodes[i].next) out.push_back(s.nodes[i].d);
+  }
 }
 
 }  // namespace whatsup::gossip

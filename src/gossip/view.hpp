@@ -7,6 +7,7 @@
 #pragma once
 
 #include <cstddef>
+#include <initializer_list>
 #include <span>
 #include <vector>
 
@@ -51,27 +52,60 @@ class View {
   NodeId random_member(Rng& rng) const;
   std::vector<NodeId> members() const;
 
+  // Merge policies over BORROWED candidates: distinct pointers into
+  // descriptor storage that stays alive and unmodified for the call (this
+  // view's own entries included). The span is shuffled in place; only the
+  // kept descriptors are copied into the view. Scratch is per thread, so a
+  // merge allocates nothing beyond growing the view itself.
+
   // Replace contents with a uniform random subset of `candidates` of at
   // most `capacity()` entries (RPS merge policy).
-  void assign_random(std::vector<net::Descriptor> candidates, Rng& rng);
+  void assign_random(std::span<const net::Descriptor*> candidates, Rng& rng);
 
   // Replace contents with the `capacity()` candidates most similar to
   // `own_profile` under `metric`; ties broken uniformly at random
   // (WUP merge policy). Selection is top-K (nth_element + bounded sort)
   // rather than a full sort, with the same deterministic shuffle-based
-  // tie-breaking as a stable sort by descending score.
-  void assign_closest(std::vector<net::Descriptor> candidates, const Profile& own_profile,
-                      Metric metric, Rng& rng);
+  // tie-breaking as a stable sort by descending score. The subject is
+  // prepared once per call (SimilarityScorer).
+  void assign_closest(std::span<const net::Descriptor*> candidates,
+                      const Profile& own_profile, Metric metric, Rng& rng);
+
+  // The protocols' merges: merge_candidates over this view's entries and
+  // `incoming`, then assign_random / assign_closest.
+  void merge_random(std::initializer_list<std::span<const net::Descriptor>> incoming,
+                    NodeId self, Rng& rng);
+  void merge_closest(std::initializer_list<std::span<const net::Descriptor>> incoming,
+                     NodeId self, const Profile& own_profile, Metric metric, Rng& rng);
 
  private:
+  // Makes `kept` the view's contents: entries it points at in entries_
+  // move, the others are copied.
+  void replace_with(std::span<const net::Descriptor* const> kept);
+
   std::size_t capacity_;
   std::vector<net::Descriptor> entries_;
 };
 
-// Union of `base` and `incoming`, excluding `self`, deduplicated by node id
-// keeping the freshest descriptor. The building block of both merge paths.
-std::vector<net::Descriptor> merge_candidates(std::span<const net::Descriptor> base,
-                                              std::span<const net::Descriptor> incoming,
-                                              NodeId self);
+// Union of `base` and the `incoming` spans, excluding `self` and kNoNode,
+// deduplicated by node id keeping the freshest descriptor (the first seen
+// on equal timestamps). Writes pointers into the source spans to `out`
+// (cleared first). The building block of both merge paths.
+//
+// Candidate-order contract: the order of `out` is part of every fixed-seed
+// trajectory. The merge policies shuffle it, and with binary profiles equal
+// scores are common, so the order decides who is kept. It is the iteration
+// order of a libstdc++ std::unordered_map<NodeId, ...> with std::hash,
+// reserved to the total source size, filled with `base` then each incoming
+// span in order — the container the merge first used. The merge builds the
+// same chained table in per-thread buffers: the map's bucket count for that
+// reservation, bucket = id % count, and libstdc++'s insertion rule (a new
+// node heads its bucket; a newly occupied bucket heads the list). Another
+// standard library would order a real map differently, so the trajectories
+// are libstdc++'s; tests/test_view.cpp checks the order against the
+// original map-based merge.
+void merge_candidates(std::span<const net::Descriptor> base,
+                      std::initializer_list<std::span<const net::Descriptor>> incoming,
+                      NodeId self, std::vector<const net::Descriptor*>& out);
 
 }  // namespace whatsup::gossip

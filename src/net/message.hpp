@@ -69,6 +69,8 @@ struct Descriptor {
   // Decoded SoA view of the snapshot (thread-local scratch; see
   // ProfileHandle::materialize for the lifetime contract).
   const Profile& profile_ref() const { return entry_.materialize(); }
+  // Cache hint ahead of profile_ref() (see DescriptorRef::prefetch).
+  void prefetch(DescriptorRef::Prefetch stage) const { entry_.prefetch(stage); }
 
  private:
   DescriptorRef entry_;

@@ -86,11 +86,12 @@ void CompactProfile::decode_into(Profile& out) const {
   out.scores_.resize(n);
   const std::uint8_t* p = bytes_.data();
   delta_decode(p, out.ids_.data(), n);
-  WideArray wide;
-  wide.resize(n);
-  delta_decode(p, wide.data(), n);
+  // Timestamps decode straight into the narrow array: delta_decode's
+  // running sum, narrowed per entry (no wide staging buffer to allocate).
+  std::uint64_t prev = 0;
   for (std::size_t i = 0; i < n; ++i) {
-    out.timestamps_[i] = static_cast<Cycle>(static_cast<std::int64_t>(wide[i]));
+    prev += static_cast<std::uint64_t>(zigzag_decode(varint_read(p)));
+    out.timestamps_[i] = static_cast<Cycle>(static_cast<std::int64_t>(prev));
   }
   if ((flags_ & kBinaryScores) != 0) {
     for (std::size_t i = 0; i < n; ++i) {

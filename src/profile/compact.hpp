@@ -24,11 +24,11 @@
 //    intrusive refcount on the slab record, addressed by arena index).
 //    `materialize()` decodes on demand into a thread-local direct-mapped
 //    cache of SoA scratch Profiles keyed by version, so the similarity
-//    kernels run on exactly the flat arrays they were built for (the
-//    AVX-512 hot path is untouched). The returned reference stays valid
-//    until the same thread materializes another generation — callers hold
-//    at most one at a time. The scratch cache is sized by the engine from
-//    the node count (set_materialize_scratch_slots below).
+//    kernels run on exactly the flat arrays they were built for. The
+//    returned reference stays valid until the same thread materializes
+//    another generation — callers hold at most one at a time. The scratch
+//    cache is sized by the engine from the node count
+//    (set_materialize_scratch_slots below).
 //  * `DescriptorRef` — the tagged 4-byte payload of a packed descriptor:
 //    either an index into the arena's stamp-record pool (a tiny refcounted
 //    {timestamp, profile} pair shared by every copy of one descriptor
@@ -405,6 +405,13 @@ class DescriptorRef {
   // Decoded SoA view (thread-local scratch; see ProfileHandle::materialize
   // for the lifetime contract). Null refs yield the shared empty Profile.
   const Profile& materialize() const;
+  // Cache hints a scoring sweep emits a few candidates ahead of
+  // materialize(): kRecord pulls the stamp record, kSlot the scratch slot
+  // its version maps to, kContents that slot's id and score arrays (on a
+  // hit). Each stage reads what the previous one pulled, so a sweep emits
+  // them at decreasing distances.
+  enum class Prefetch { kRecord, kSlot, kContents };
+  void prefetch(Prefetch stage) const;
 
   bool is_null() const { return bits_ == kNullBits; }
 
@@ -710,6 +717,24 @@ inline const Profile& ProfileHandle::materialize() const {
   if (rec->size() == 0) return detail::static_empty_profile();
   return detail::scratch_lookup(rec->version(),
                                 [&](Profile& out) { rec->decode_into(out); });
+}
+
+inline void DescriptorRef::prefetch(Prefetch stage) const {
+  if (!is_record()) return;
+  const StampRecord* rec = SnapshotArena::instance().stamp(bits_);
+  if (stage == Prefetch::kRecord) {
+    __builtin_prefetch(rec);
+    return;
+  }
+  std::vector<detail::ScratchSlot>& slots = detail::scratch_slots();
+  const detail::ScratchSlot& slot = slots[rec->version & (slots.size() - 1)];
+  if (stage == Prefetch::kSlot) {
+    const char* bytes = reinterpret_cast<const char*>(&slot);
+    for (std::size_t at = 0; at < sizeof(slot); at += 64) __builtin_prefetch(bytes + at);
+  } else if (slot.version == rec->version) {
+    __builtin_prefetch(slot.profile.ids().data());
+    __builtin_prefetch(slot.profile.scores().data());
+  }
 }
 
 inline const Profile& DescriptorRef::materialize() const {

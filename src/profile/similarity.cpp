@@ -4,6 +4,8 @@
 #include <cmath>
 #include <cstdint>
 
+#include "obs/registry.hpp"
+
 #if defined(__x86_64__) && defined(__GNUC__)
 #include <immintrin.h>
 #define WHATSUP_X86_DISPATCH 1
@@ -21,24 +23,16 @@ namespace {
 // rare — accumulate on matches; measured faster than both the fully branchy
 // and the fully gated variants on random interleaves.
 //
-// On x86-64 an AVX-512 path intersects 8-id blocks at a time: compare the
-// `a` block against all 8 cyclic rotations of the `b` block, collect the
-// match bits, and process matches in ascending a-lane order. Ascending
-// lane order equals ascending id order, so the floating-point accumulation
-// order — and therefore every similarity value — is bit-identical to the
-// scalar merge. Selected at runtime via __builtin_cpu_supports.
+// The WUP selection loops do not merge pairwise: SimilarityScorer probes
+// each candidate id against the prepared subject (see similarity.hpp).
 
 struct WupStats {
   double dot = 0.0;        // dot(sub(a,b), b)
   double sub_norm2 = 0.0;  // ‖sub(a,b)‖²
 };
 
-WupStats wup_stats_scalar(const Profile& a, const Profile& b) {
-  const ItemId* ia = a.ids().data();
-  const ItemId* ib = b.ids().data();
-  const double* sa = a.scores().data();
-  const double* sb = b.scores().data();
-  const std::size_t na = a.size(), nb = b.size();
+WupStats wup_stats(const ItemId* ia, const double* sa, std::size_t na,
+                   const ItemId* ib, const double* sb, std::size_t nb) {
   WupStats s;
   std::size_t i = 0, j = 0;
   while (i < na && j < nb) {
@@ -54,7 +48,7 @@ WupStats wup_stats_scalar(const Profile& a, const Profile& b) {
   return s;
 }
 
-double common_dot_scalar(const Profile& a, const Profile& b) {
+double common_dot(const Profile& a, const Profile& b) {
   const ItemId* ia = a.ids().data();
   const ItemId* ib = b.ids().data();
   const double* sa = a.scores().data();
@@ -73,129 +67,62 @@ double common_dot_scalar(const Profile& a, const Profile& b) {
 
 #ifdef WHATSUP_X86_DISPATCH
 
-// Match bits for one 8×8 block pair: compare `va` against all 8 cyclic
-// rotations of `vb`. Rotation r lane l set ⟺ a[i+l] == b[j + ((l+r)&7)].
-// Returns the l-major transpose (bit 8l+r), so ascending bit position scans
-// matches in ascending a-lane order.
-__attribute__((target("avx512f"))) inline std::uint64_t block_matches(
-    __m512i va, __m512i vb) {
-  std::uint64_t rows = 0;
-  // Independent permutes (no serial rotate chain) keep the 8 compares in
-  // flight together.
-  const __m512i base = _mm512_set_epi64(7, 6, 5, 4, 3, 2, 1, 0);
-  const __m512i seven = _mm512_set1_epi64(7);
-#define WHATSUP_ROT(r)                                                      \
-  {                                                                         \
-    const __m512i idx =                                                     \
-        _mm512_and_epi64(_mm512_add_epi64(base, _mm512_set1_epi64(r)), seven); \
-    const __m512i rot = _mm512_permutexvar_epi64(idx, vb);                  \
-    rows |= static_cast<std::uint64_t>(_mm512_cmpeq_epi64_mask(va, rot))    \
-            << (8 * (r));                                                   \
-  }
-  WHATSUP_ROT(0)
-  WHATSUP_ROT(1)
-  WHATSUP_ROT(2)
-  WHATSUP_ROT(3)
-  WHATSUP_ROT(4)
-  WHATSUP_ROT(5)
-  WHATSUP_ROT(6)
-  WHATSUP_ROT(7)
-#undef WHATSUP_ROT
-  if (rows == 0) return 0;
-  // 8×8 bit-matrix transpose (Hacker's Delight §7-3): r-major → l-major.
-  std::uint64_t t = rows, tmp;
-  tmp = (t ^ (t >> 7)) & 0x00AA00AA00AA00AAULL;
-  t ^= tmp ^ (tmp << 7);
-  tmp = (t ^ (t >> 14)) & 0x0000CCCC0000CCCCULL;
-  t ^= tmp ^ (tmp << 14);
-  tmp = (t ^ (t >> 28)) & 0x00000000F0F0F0F0ULL;
-  t ^= tmp ^ (tmp << 28);
-  return t;
-}
-
-__attribute__((target("avx512f"))) WupStats wup_stats_avx512(const Profile& a,
-                                                             const Profile& b) {
-  const ItemId* ia = a.ids().data();
-  const ItemId* ib = b.ids().data();
-  const double* sa = a.scores().data();
-  const double* sb = b.scores().data();
-  const std::size_t na = a.size(), nb = b.size();
+// Broadcast-compare probe: each candidate id (ascending) is compared with
+// every prepared subject id at once; subject ids are unique, so a probe
+// matches at most one lane and matches accumulate in ascending id order.
+// Subjects of up to 16 entries stay in two registers, and their probe loop
+// is branch-free: it records match positions, accumulated afterwards.
+__attribute__((target("avx512f"))) WupStats wup_probe_avx512(
+    const ItemId* ia, const double* sa, std::size_t na, const ItemId* ib,
+    const double* sb, std::size_t nb) {
   WupStats s;
-  std::size_t i = 0, j = 0;
-  while (i + 8 <= na && j + 8 <= nb) {
-    const __m512i va = _mm512_loadu_si512(ia + i);
-    const __m512i vb = _mm512_loadu_si512(ib + j);
-    std::uint64_t matches = block_matches(va, vb);
-    while (matches != 0) {
-      const int t = __builtin_ctzll(matches);
-      matches &= matches - 1;
-      const int l = t >> 3, r = t & 7;
-      const double av = sa[i + static_cast<std::size_t>(l)];
-      const double bv = sb[j + static_cast<std::size_t>((l + r) & 7)];
-      s.dot += av * bv;
-      s.sub_norm2 += av * av;
+  if (na == 0) return s;
+  const ItemId last = ia[na - 1];
+  const auto lanes = [](std::size_t n) {
+    return static_cast<__mmask8>(n >= 8 ? 0xFF : (1u << n) - 1);
+  };
+  const auto accumulate = [&](std::size_t i, std::size_t j) {
+    const double va = sa[i];
+    s.dot += va * sb[j];
+    s.sub_norm2 += va * va;
+  };
+  if (na <= 16) {
+    const __mmask8 m0 = lanes(na), m1 = lanes(na > 8 ? na - 8 : 0);
+    const __m512i lo = _mm512_maskz_loadu_epi64(m0, ia);
+    const __m512i hi = _mm512_maskz_loadu_epi64(m1, ia + 8);
+    // At most na matches; slot [matches] takes the non-matching writes.
+    std::uint32_t at_i[17] = {}, at_j[17] = {};
+    std::size_t matches = 0;
+    for (std::size_t j = 0; j < nb && ib[j] <= last; ++j) {
+      const __m512i key = _mm512_set1_epi64(static_cast<long long>(ib[j]));
+      const unsigned hit = _mm512_mask_cmpeq_epi64_mask(m0, lo, key) |
+                           (unsigned{_mm512_mask_cmpeq_epi64_mask(m1, hi, key)} << 8);
+      at_i[matches] = static_cast<std::uint32_t>(__builtin_ctz(hit | 0x10000u));
+      at_j[matches] = static_cast<std::uint32_t>(j);
+      matches += hit != 0 ? 1 : 0;
     }
-    const ItemId amax = ia[i + 7], bmax = ib[j + 7];
-    i += amax <= bmax ? 8 : 0;
-    j += bmax <= amax ? 8 : 0;
+    for (std::size_t m = 0; m < matches; ++m) accumulate(at_i[m], at_j[m]);
+    return s;
   }
-  while (i < na && j < nb) {
-    const ItemId da = ia[i], db = ib[j];
-    if (da == db) {
-      const double va = sa[i];
-      s.dot += va * sb[j];
-      s.sub_norm2 += va * va;
-    }
-    i += da <= db ? 1 : 0;
-    j += db <= da ? 1 : 0;
+  // Larger subjects: both id lists ascend, so the subject block that can
+  // hold a probe only moves forward — one compare per candidate id.
+  std::size_t b = 0;
+  for (std::size_t j = 0; j < nb && ib[j] <= last; ++j) {
+    while (ia[std::min(b + 7, na - 1)] < ib[j]) b += 8;
+    const __mmask8 m = lanes(na - b);
+    const unsigned hit = _mm512_mask_cmpeq_epi64_mask(
+        m, _mm512_maskz_loadu_epi64(m, ia + b),
+        _mm512_set1_epi64(static_cast<long long>(ib[j])));
+    if (hit != 0) accumulate(b + static_cast<std::size_t>(__builtin_ctz(hit)), j);
   }
   return s;
 }
 
-__attribute__((target("avx512f"))) double common_dot_avx512(const Profile& a,
-                                                            const Profile& b) {
-  const ItemId* ia = a.ids().data();
-  const ItemId* ib = b.ids().data();
-  const double* sa = a.scores().data();
-  const double* sb = b.scores().data();
-  const std::size_t na = a.size(), nb = b.size();
-  double dot = 0.0;
-  std::size_t i = 0, j = 0;
-  while (i + 8 <= na && j + 8 <= nb) {
-    const __m512i va = _mm512_loadu_si512(ia + i);
-    const __m512i vb = _mm512_loadu_si512(ib + j);
-    std::uint64_t matches = block_matches(va, vb);
-    while (matches != 0) {
-      const int t = __builtin_ctzll(matches);
-      matches &= matches - 1;
-      const int l = t >> 3, r = t & 7;
-      dot += sa[i + static_cast<std::size_t>(l)] *
-             sb[j + static_cast<std::size_t>((l + r) & 7)];
-    }
-    const ItemId amax = ia[i + 7], bmax = ib[j + 7];
-    i += amax <= bmax ? 8 : 0;
-    j += bmax <= amax ? 8 : 0;
-  }
-  while (i < na && j < nb) {
-    const ItemId da = ia[i], db = ib[j];
-    if (da == db) dot += sa[i] * sb[j];
-    i += da <= db ? 1 : 0;
-    j += db <= da ? 1 : 0;
-  }
-  return dot;
-}
-
-bool have_avx512() { return __builtin_cpu_supports("avx512f") != 0; }
-
-WupStats (*const wup_stats)(const Profile&, const Profile&) =
-    have_avx512() ? wup_stats_avx512 : wup_stats_scalar;
-double (*const common_dot)(const Profile&, const Profile&) =
-    have_avx512() ? common_dot_avx512 : common_dot_scalar;
+const bool kHaveAvx512 = __builtin_cpu_supports("avx512f") != 0;
 
 #else
 
-constexpr WupStats (*wup_stats)(const Profile&, const Profile&) = wup_stats_scalar;
-constexpr double (*common_dot)(const Profile&, const Profile&) = common_dot_scalar;
+constexpr bool kHaveAvx512 = false;
 
 #endif  // WHATSUP_X86_DISPATCH
 
@@ -254,6 +181,13 @@ PearsonStats pearson_stats(const Profile& a, const Profile& b) {
 
 double clamp01(double x) { return std::clamp(x, 0.0, 1.0); }
 
+double wup_finish(const WupStats& stats, const Profile& candidate) {
+  if (stats.sub_norm2 <= 0.0) return 0.0;
+  const double cand_norm = candidate.norm();
+  if (cand_norm <= 0.0) return 0.0;
+  return clamp01(stats.dot / (std::sqrt(stats.sub_norm2) * cand_norm));
+}
+
 }  // namespace
 
 std::string to_string(Metric metric) {
@@ -268,11 +202,10 @@ std::string to_string(Metric metric) {
 }
 
 double wup_similarity(const Profile& subject, const Profile& candidate) {
-  const WupStats stats = wup_stats(subject, candidate);
-  if (stats.sub_norm2 <= 0.0) return 0.0;
-  const double cand_norm = candidate.norm();
-  if (cand_norm <= 0.0) return 0.0;
-  return clamp01(stats.dot / (std::sqrt(stats.sub_norm2) * cand_norm));
+  return wup_finish(wup_stats(subject.ids().data(), subject.scores().data(), subject.size(),
+                              candidate.ids().data(), candidate.scores().data(),
+                              candidate.size()),
+                    candidate);
 }
 
 double cosine_similarity(const Profile& a, const Profile& b) {
@@ -320,5 +253,48 @@ double similarity(Metric metric, const Profile& subject, const Profile& candidat
   }
   return 0.0;
 }
+
+void SimilarityScorer::prepare(Metric metric, const Profile& subject) {
+  metric_ = metric;
+  subject_ = &subject;
+  ids_.clear();
+  scores_.clear();
+  if (metric != Metric::kWup) return;
+  for (std::size_t i = 0; i < subject.size(); ++i) {
+    if (subject.scores()[i] == 0.0) continue;
+    ids_.push_back(subject.ids()[i]);
+    scores_.push_back(subject.scores()[i]);
+  }
+}
+
+double SimilarityScorer::score(const Profile& candidate) const {
+  if (obs::enabled()) {
+    static const obs::MetricId candidates = obs::counter("similarity.candidates");
+    static const obs::MetricId scanned = obs::counter("similarity.entries_scanned");
+    obs::add(candidates);
+    obs::add(scanned, candidate.size());
+  }
+  if (metric_ != Metric::kWup) return similarity(metric_, *subject_, candidate);
+  return kHaveAvx512 ? wup_avx512(candidate) : wup_scalar(candidate);
+}
+
+double SimilarityScorer::wup_scalar(const Profile& candidate) const {
+  return wup_finish(wup_stats(ids_.data(), scores_.data(), ids_.size(), candidate.ids().data(),
+                              candidate.scores().data(), candidate.size()),
+                    candidate);
+}
+
+double SimilarityScorer::wup_avx512(const Profile& candidate) const {
+#ifdef WHATSUP_X86_DISPATCH
+  return wup_finish(wup_probe_avx512(ids_.data(), scores_.data(), ids_.size(),
+                                     candidate.ids().data(), candidate.scores().data(),
+                                     candidate.size()),
+                    candidate);
+#else
+  return wup_scalar(candidate);
+#endif
+}
+
+bool SimilarityScorer::avx512_available() { return kHaveAvx512; }
 
 }  // namespace whatsup

@@ -14,6 +14,7 @@
 #pragma once
 
 #include <string>
+#include <vector>
 
 #include "profile/profile.hpp"
 
@@ -48,5 +49,41 @@ double pearson_similarity(const Profile& a, const Profile& b);
 
 // Dispatch by metric; all results are in [0, 1].
 double similarity(Metric metric, const Profile& subject, const Profile& candidate);
+
+// One subject scored against many candidates — the selection loops of
+// View::assign_closest and BEEP's select_most_similar. For Metric::kWup the
+// subject is prepared once: its nonzero-score (id, score) entries. Each
+// candidate's ascending ids are then probed against them (AVX-512
+// broadcast-compare where available, else a scalar merge). A zero subject
+// score adds +0 to both sums, so skipping those entries, and accumulating
+// the matches in ascending id order exactly as the pairwise merge does,
+// keeps every score bit-identical to wup_similarity (for finite scores).
+// The other metrics run their pairwise merge against the subject.
+//
+// Callers keep one scorer per thread and re-prepare it per selection, so
+// scoring allocates nothing once the buffers have grown. Counts
+// `similarity.candidates` and `similarity.entries_scanned` (candidate
+// entries presented to the scorer) when telemetry is on.
+class SimilarityScorer {
+ public:
+  // `subject` must outlive the scoring (non-WUP metrics read it per call).
+  void prepare(Metric metric, const Profile& subject);
+
+  // similarity(metric, subject, candidate), bit for bit.
+  double score(const Profile& candidate) const;
+
+  // The two WUP kernel bodies behind score(), exposed so tests can check
+  // them against each other and against wup_similarity. wup_avx512
+  // requires avx512_available().
+  double wup_scalar(const Profile& candidate) const;
+  double wup_avx512(const Profile& candidate) const;
+  static bool avx512_available();
+
+ private:
+  Metric metric_ = Metric::kWup;
+  const Profile* subject_ = nullptr;
+  std::vector<ItemId> ids_;     // nonzero-score subject entries, ascending
+  std::vector<double> scores_;
+};
 
 }  // namespace whatsup

@@ -409,6 +409,29 @@ TEST(ObsDeterminism, DigestsBitIdenticalAcrossThreadsAndWidths) {
   }
 }
 
+// The similarity work counters are exact: a pure function of the seed, so
+// two runs agree, and so do 1 and 4 worker threads (each worker counts the
+// selections of the nodes it runs into its own lane).
+TEST(ObsDeterminism, SimilarityCountersExactAcrossRunsAndThreads) {
+  StatsGuard guard;
+  const data::Workload workload = obs_workload();
+  auto counts = [&](unsigned threads) {
+    analysis::RunConfig config = obs_run_config();
+    config.threads = threads;
+    config.observability.enable_stats = true;
+    obs::Registry::instance().reset();
+    const analysis::RunResult result = analysis::run_protocol(workload, config);
+    obs::set_enabled(false);
+    return std::pair{result.stats.value("similarity.candidates"),
+                     result.stats.value("similarity.entries_scanned")};
+  };
+  const auto first = counts(1);
+  EXPECT_GT(first.first, 0u);
+  EXPECT_GT(first.second, first.first);
+  EXPECT_EQ(counts(1), first);
+  EXPECT_EQ(counts(4), first);
+}
+
 // Same contract across the fragment seam: P in-process partition workers
 // with stats enabled must sum (mod 2^64) to the telemetry-off
 // single-process digest series. Each fragment worker writes its own lanes;

@@ -2,7 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <vector>
 
 #include "common/rng.hpp"
 
@@ -163,6 +166,97 @@ INSTANTIATE_TEST_SUITE_P(AllMetrics, MetricProperty,
                                            Metric::kJaccard, Metric::kOverlap,
                                            Metric::kPearson),
                          [](const auto& info) { return to_string(info.param); });
+
+// --- Prepared-subject kernel (SimilarityScorer) ------------------------------
+//
+// Both WUP kernel bodies — scalar and AVX-512 — must agree bit for bit with
+// the pairwise reference merge wup_similarity, and score() with
+// similarity() for every metric: the selections they feed are part of every
+// fixed-seed trajectory.
+
+// `n` distinct ids drawn from [1, universe] with scores picked by `score`.
+template <typename ScoreFn>
+Profile drawn(Rng& rng, std::size_t n, ItemId universe, ScoreFn score) {
+  Profile p;
+  while (p.size() < n) p.set(rng.index(universe) + 1, 0, score(rng));
+  return p;
+}
+
+double binary(Rng& rng) { return rng.bernoulli(0.5) ? 1.0 : 0.0; }
+double liked_only(Rng&) { return 1.0; }
+double real(Rng& rng) { return rng.bernoulli(0.2) ? 0.0 : rng.uniform(); }
+
+// Subjects and candidates covering the kernels' edge cases: empty,
+// disjoint, all ids shared, every length 1..40 (block tails that are not a
+// multiple of 8), more than 16 liked subject entries, real-valued scores and
+// zero-score entries.
+std::vector<Profile> kernel_corpus() {
+  Rng rng(2024);
+  std::vector<Profile> corpus;
+  corpus.emplace_back();                        // empty
+  corpus.push_back(liked({}, {1, 2, 3}));        // only zero scores
+  for (std::size_t n = 1; n <= 40; ++n) {
+    corpus.push_back(drawn(rng, n, 60, binary));
+    corpus.push_back(drawn(rng, n, 60, liked_only));
+    corpus.push_back(drawn(rng, n, 60, real));
+    corpus.push_back(drawn(rng, n, 400, binary));  // mostly disjoint
+  }
+  Profile shared, shared_disliked, far;
+  for (ItemId id = 1; id <= 40; ++id) {
+    shared.set(id, 0, 1.0);
+    shared_disliked.set(id, 0, id % 3 == 0 ? 0.0 : 1.0);
+    far.set(id + 1000, 0, 1.0);                 // disjoint from all of the above
+  }
+  corpus.push_back(shared);
+  corpus.push_back(shared_disliked);
+  corpus.push_back(far);
+  return corpus;
+}
+
+std::uint64_t bits(double x) { return std::bit_cast<std::uint64_t>(x); }
+
+TEST(SimilarityScorer, ScalarKernelMatchesPairwiseMergeBitForBit) {
+  const std::vector<Profile> corpus = kernel_corpus();
+  SimilarityScorer scorer;
+  for (std::size_t a = 0; a < corpus.size(); ++a) {
+    scorer.prepare(Metric::kWup, corpus[a]);
+    for (std::size_t b = 0; b < corpus.size(); ++b) {
+      ASSERT_EQ(bits(scorer.wup_scalar(corpus[b])),
+                bits(wup_similarity(corpus[a], corpus[b])))
+          << "subject " << a << ", candidate " << b;
+    }
+  }
+}
+
+TEST(SimilarityScorer, Avx512KernelMatchesPairwiseMergeBitForBit) {
+  if (!SimilarityScorer::avx512_available()) GTEST_SKIP() << "no AVX-512F";
+  const std::vector<Profile> corpus = kernel_corpus();
+  SimilarityScorer scorer;
+  for (std::size_t a = 0; a < corpus.size(); ++a) {
+    scorer.prepare(Metric::kWup, corpus[a]);
+    for (std::size_t b = 0; b < corpus.size(); ++b) {
+      ASSERT_EQ(bits(scorer.wup_avx512(corpus[b])),
+                bits(wup_similarity(corpus[a], corpus[b])))
+          << "subject " << a << ", candidate " << b;
+    }
+  }
+}
+
+TEST(SimilarityScorer, ScoreMatchesSimilarityForEveryMetric) {
+  const std::vector<Profile> corpus = kernel_corpus();
+  SimilarityScorer scorer;
+  for (Metric metric : {Metric::kWup, Metric::kCosine, Metric::kJaccard,
+                        Metric::kOverlap, Metric::kPearson}) {
+    for (std::size_t a = 0; a < corpus.size(); a += 3) {
+      scorer.prepare(metric, corpus[a]);
+      for (std::size_t b = 0; b < corpus.size(); ++b) {
+        ASSERT_EQ(bits(scorer.score(corpus[b])),
+                  bits(similarity(metric, corpus[a], corpus[b])))
+            << to_string(metric) << ": subject " << a << ", candidate " << b;
+      }
+    }
+  }
+}
 
 TEST(MetricNames, RoundTrip) {
   EXPECT_EQ(to_string(Metric::kWup), "wup");

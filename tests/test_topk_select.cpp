@@ -43,6 +43,14 @@ std::vector<net::Descriptor> seed_assign_closest(std::vector<net::Descriptor> ca
   return kept;
 }
 
+// Borrowed candidates over `candidates` (View's merge policies take
+// pointers into the sources).
+std::vector<const net::Descriptor*> refs(const std::vector<net::Descriptor>& candidates) {
+  std::vector<const net::Descriptor*> out;
+  for (const net::Descriptor& d : candidates) out.push_back(&d);
+  return out;
+}
+
 void expect_same_members(const View& view, const std::vector<net::Descriptor>& expected) {
   ASSERT_EQ(view.size(), expected.size());
   for (std::size_t i = 0; i < expected.size(); ++i) {
@@ -69,7 +77,8 @@ TEST(TopKSelect, MatchesSeedSortUnderFixedSeeds) {
         seed_assign_closest(candidates, own, Metric::kWup, rng_ref, capacity);
 
     View view(capacity);
-    view.assign_closest(candidates, own, Metric::kWup, rng_new);
+    auto borrowed = refs(candidates);
+    view.assign_closest(borrowed, own, Metric::kWup, rng_new);
     expect_same_members(view, expected);
   }
 }
@@ -86,7 +95,8 @@ TEST(TopKSelect, MatchesSeedSortOnAllTies) {
     Rng rng_ref(seed), rng_new(seed);
     const auto expected = seed_assign_closest(candidates, own, Metric::kWup, rng_ref, 7);
     View view(7);
-    view.assign_closest(candidates, own, Metric::kWup, rng_new);
+    auto borrowed = refs(candidates);
+    view.assign_closest(borrowed, own, Metric::kWup, rng_new);
     expect_same_members(view, expected);
   }
 }
@@ -102,7 +112,8 @@ TEST(TopKSelect, CapacityLargerThanCandidates) {
   Rng rng_ref(9), rng_new(9);
   const auto expected = seed_assign_closest(candidates, own, Metric::kCosine, rng_ref, 20);
   View view(20);
-  view.assign_closest(candidates, own, Metric::kCosine, rng_new);
+  auto borrowed = refs(candidates);
+  view.assign_closest(borrowed, own, Metric::kCosine, rng_new);
   expect_same_members(view, expected);
 }
 

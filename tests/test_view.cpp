@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <set>
+#include <unordered_map>
+#include <vector>
 
 namespace whatsup::gossip {
 namespace {
@@ -15,6 +17,14 @@ Profile liked(std::initializer_list<ItemId> ids) {
 
 net::Descriptor desc(NodeId node, Cycle ts, std::initializer_list<ItemId> likes = {}) {
   return net::make_descriptor(node, ts, liked(likes));
+}
+
+// Borrowed candidates over `candidates` (View's merge policies take
+// pointers into the sources).
+std::vector<const net::Descriptor*> refs(const std::vector<net::Descriptor>& candidates) {
+  std::vector<const net::Descriptor*> out;
+  for (const net::Descriptor& d : candidates) out.push_back(&d);
+  return out;
 }
 
 TEST(View, InsertAndLookup) {
@@ -127,7 +137,8 @@ TEST(View, AssignRandomRespectsCapacity) {
   View view(3);
   std::vector<net::Descriptor> candidates;
   for (NodeId v = 0; v < 10; ++v) candidates.push_back(desc(v, 0));
-  view.assign_random(candidates, rng);
+  auto borrowed = refs(candidates);
+  view.assign_random(borrowed, rng);
   EXPECT_EQ(view.size(), 3u);
 }
 
@@ -141,7 +152,8 @@ TEST(View, AssignClosestKeepsMostSimilar) {
       desc(3, 0, {50, 51}),       // disjoint
       desc(4, 0, {}),             // empty
   };
-  view.assign_closest(candidates, own, Metric::kWup, rng);
+  auto borrowed = refs(candidates);
+  view.assign_closest(borrowed, own, Metric::kWup, rng);
   ASSERT_EQ(view.size(), 2u);
   std::set<NodeId> kept;
   for (const auto& d : view.entries()) kept.insert(d.node);
@@ -157,7 +169,8 @@ TEST(View, AssignClosestRandomizesTies) {
   for (std::uint64_t seed = 0; seed < 20; ++seed) {
     Rng rng(seed);
     View view(1);
-    view.assign_closest(candidates, own, Metric::kWup, rng);
+    auto borrowed = refs(candidates);
+    view.assign_closest(borrowed, own, Metric::kWup, rng);
     first_picks.insert(view.entries()[0].node);
   }
   EXPECT_GT(first_picks.size(), 3u);  // not stuck on one candidate
@@ -166,19 +179,87 @@ TEST(View, AssignClosestRandomizesTies) {
 TEST(MergeCandidates, DeduplicatesKeepingFreshest) {
   const std::vector<net::Descriptor> base = {desc(1, 5), desc(2, 7)};
   const std::vector<net::Descriptor> incoming = {desc(1, 9), desc(3, 2)};
-  const auto merged = merge_candidates(base, incoming, /*self=*/99);
+  std::vector<const net::Descriptor*> merged;
+  merge_candidates(base, {incoming}, /*self=*/99, merged);
   EXPECT_EQ(merged.size(), 3u);
-  for (const auto& d : merged) {
-    if (d.node == 1) EXPECT_EQ(d.timestamp(), 9);
+  for (const net::Descriptor* d : merged) {
+    if (d->node == 1) EXPECT_EQ(d->timestamp(), 9);
   }
 }
 
 TEST(MergeCandidates, ExcludesSelf) {
   const std::vector<net::Descriptor> base = {desc(1, 5), desc(2, 7)};
   const std::vector<net::Descriptor> incoming = {desc(2, 9)};
-  const auto merged = merge_candidates(base, incoming, /*self=*/2);
+  std::vector<const net::Descriptor*> merged;
+  merge_candidates(base, {incoming}, /*self=*/2, merged);
   ASSERT_EQ(merged.size(), 1u);
-  EXPECT_EQ(merged[0].node, 1u);
+  EXPECT_EQ(merged[0]->node, 1u);
+}
+
+// The map-based merge the candidate order was defined by, verbatim: the
+// oracle for merge_candidates' order contract (view.hpp).
+std::vector<net::Descriptor> original_merge_candidates(
+    std::span<const net::Descriptor> base, std::span<const net::Descriptor> incoming,
+    NodeId self) {
+  std::unordered_map<NodeId, net::Descriptor> best;
+  best.reserve(base.size() + incoming.size());
+  auto absorb = [&](const net::Descriptor& d) {
+    if (d.node == self || d.node == kNoNode) return;
+    const auto it = best.find(d.node);
+    if (it == best.end() || d.timestamp() > it->second.timestamp()) best[d.node] = d;
+  };
+  for (const net::Descriptor& d : base) absorb(d);
+  for (const net::Descriptor& d : incoming) absorb(d);
+  std::vector<net::Descriptor> merged;
+  merged.reserve(best.size());
+  for (auto& [node, d] : best) {
+    (void)node;
+    merged.push_back(std::move(d));
+  }
+  return merged;
+}
+
+TEST(MergeCandidates, OrderMatchesOriginalMapMerge) {
+  Rng rng(77);
+  std::uint64_t tag = 0;
+  // Node ids from a small range (duplicates within and across sources), the
+  // merging node itself, kNoNode, timestamps from a small range (ties), and
+  // profile-less bootstrap descriptors. Every descriptor gets a distinct
+  // snapshot, so keeping the wrong one of two equal-timestamp duplicates
+  // shows as a version mismatch.
+  auto source = [&](std::size_t n, NodeId self) {
+    std::vector<net::Descriptor> out;
+    for (std::size_t i = 0; i < n; ++i) {
+      const double pick = rng.uniform();
+      const NodeId node = pick < 0.05   ? self
+                          : pick < 0.1 ? kNoNode
+                                       : static_cast<NodeId>(rng.index(120));
+      const auto ts = static_cast<Cycle>(rng.index(6));
+      out.push_back(rng.bernoulli(0.15) ? net::Descriptor{node, ts, nullptr}
+                                        : desc(node, ts, {++tag}));
+    }
+    return out;
+  };
+  for (int round = 0; round < 400; ++round) {
+    const auto self = static_cast<NodeId>(rng.index(120));
+    const auto base = source(rng.index(40), self);
+    const auto view = source(rng.index(40), self);
+    const auto sender = source(1, self);
+    const auto rps = source(rng.index(40), self);
+    std::vector<net::Descriptor> incoming = view;
+    incoming.insert(incoming.end(), sender.begin(), sender.end());
+    incoming.insert(incoming.end(), rps.begin(), rps.end());
+    const auto expected = original_merge_candidates(base, incoming, self);
+
+    std::vector<const net::Descriptor*> merged;
+    merge_candidates(base, {view, sender, rps}, self, merged);
+    ASSERT_EQ(merged.size(), expected.size()) << "round " << round;
+    for (std::size_t i = 0; i < expected.size(); ++i) {
+      EXPECT_EQ(merged[i]->node, expected[i].node) << "round " << round << ", position " << i;
+      EXPECT_EQ(merged[i]->timestamp(), expected[i].timestamp());
+      EXPECT_EQ(merged[i]->profile().version(), expected[i].profile().version());
+    }
+  }
 }
 
 }  // namespace
