@@ -1,10 +1,11 @@
 #include "gossip/view.hpp"
 
 #include <algorithm>
+#include <array>
 #include <cstddef>
-#include <cstdint>
 #include <functional>
 #include <iterator>
+#include <memory_resource>
 #include <unordered_map>
 
 namespace whatsup::gossip {
@@ -89,15 +90,6 @@ namespace {
 // Per-thread merge scratch: shard workers merge concurrently, each on its
 // own buffers, which keep their capacity across merges.
 struct MergeScratch {
-  // merge_candidates' chained hash table (see libstdcxx_bucket_count).
-  struct Node {
-    NodeId node;
-    std::int32_t next;  // next node of the same bucket, -1 at the end
-    const net::Descriptor* d;
-  };
-  std::vector<std::int32_t> heads;      // per bucket: newest node, or -1
-  std::vector<Node> nodes;
-  std::vector<std::uint32_t> occupied;  // buckets in first-occupation order
   std::vector<const net::Descriptor*> candidates;
   std::vector<std::pair<double, std::size_t>> scored;
   std::vector<const net::Descriptor*> kept;
@@ -108,22 +100,6 @@ struct MergeScratch {
 MergeScratch& scratch() {
   thread_local MergeScratch s;
   return s;
-}
-
-// Bucket count of a libstdc++ std::unordered_map<NodeId, ...> reserved to
-// `n` entries, read off a real map so its rehash policy is the library's
-// own. merge_candidates reproduces that map's layout: bucket = id % count
-// (std::hash of an integer is the identity), and a map reserved to n never
-// rehashes during n inserts. Cached per thread for the usual merge sizes.
-std::size_t libstdcxx_bucket_count(std::size_t n) {
-  constexpr std::size_t kCached = 1024;
-  thread_local std::vector<std::size_t> cache(kCached, 0);
-  if (n < kCached && cache[n] != 0) return cache[n];
-  std::unordered_map<NodeId, const net::Descriptor*> reserved;
-  reserved.reserve(n);
-  const std::size_t count = reserved.bucket_count();
-  if (n < kCached) cache[n] = count;
-  return count;
 }
 
 }  // namespace
@@ -211,33 +187,24 @@ void merge_candidates(std::span<const net::Descriptor> base,
                       NodeId self, std::vector<const net::Descriptor*>& out) {
   std::size_t total = base.size();
   for (const auto& part : incoming) total += part.size();
-  MergeScratch& s = scratch();
-  const std::size_t buckets = libstdcxx_bucket_count(total);
-  s.heads.assign(buckets, -1);
-  s.nodes.clear();
-  s.occupied.clear();
+  // The map of the original merge, holding pointers; its nodes and buckets
+  // fit the stack buffer for the usual view sizes (larger merges spill to
+  // the heap).
+  std::array<std::byte, 8192> buffer;
+  std::pmr::monotonic_buffer_resource arena(buffer.data(), buffer.size());
+  std::pmr::unordered_map<NodeId, const net::Descriptor*> freshest(&arena);
+  freshest.reserve(total);
   auto absorb = [&](const net::Descriptor& d) {
     if (d.node == self || d.node == kNoNode) return;
-    const std::size_t b = d.node % buckets;
-    for (std::int32_t i = s.heads[b]; i >= 0; i = s.nodes[i].next) {
-      if (s.nodes[i].node != d.node) continue;
-      if (d.timestamp() > s.nodes[i].d->timestamp()) s.nodes[i].d = &d;
-      return;
-    }
-    if (s.heads[b] < 0) s.occupied.push_back(static_cast<std::uint32_t>(b));
-    s.nodes.push_back({d.node, s.heads[b], &d});
-    s.heads[b] = static_cast<std::int32_t>(s.nodes.size() - 1);
+    const auto [it, inserted] = freshest.try_emplace(d.node, &d);
+    if (!inserted && d.timestamp() > it->second->timestamp()) it->second = &d;
   };
   for (const net::Descriptor& d : base) absorb(d);
   for (const auto& part : incoming) {
     for (const net::Descriptor& d : part) absorb(d);
   }
-  // The map's list order: the most recently first-occupied bucket first,
-  // and within a bucket the most recent insertion first.
   out.clear();
-  for (auto b = s.occupied.rbegin(); b != s.occupied.rend(); ++b) {
-    for (std::int32_t i = s.heads[*b]; i >= 0; i = s.nodes[i].next) out.push_back(s.nodes[i].d);
-  }
+  for (const auto& [node, d] : freshest) out.push_back(d);
 }
 
 }  // namespace whatsup::gossip

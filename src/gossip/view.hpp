@@ -97,13 +97,12 @@ class View {
 // scores are common, so the order decides who is kept. It is the iteration
 // order of a libstdc++ std::unordered_map<NodeId, ...> with std::hash,
 // reserved to the total source size, filled with `base` then each incoming
-// span in order — the container the merge first used. The merge builds the
-// same chained table in per-thread buffers: the map's bucket count for that
-// reservation, bucket = id % count, and libstdc++'s insertion rule (a new
-// node heads its bucket; a newly occupied bucket heads the list). Another
-// standard library would order a real map differently, so the trajectories
-// are libstdc++'s; tests/test_view.cpp checks the order against the
-// original map-based merge.
+// span in order — the container the merge first used. The merge still
+// fills that map (with pointer values, over a stack buffer), so the order
+// follows libstdc++'s hashing, insertion and rehash rules; another standard
+// library would order the candidates differently, so the trajectories are
+// libstdc++'s. tests/test_view.cpp checks the order against the original
+// map-based merge.
 void merge_candidates(std::span<const net::Descriptor> base,
                       std::initializer_list<std::span<const net::Descriptor>> incoming,
                       NodeId self, std::vector<const net::Descriptor*>& out);

@@ -607,13 +607,17 @@ inline obs::MetricId scratch_miss_metric() {
   return id;
 }
 
-// Direct-mapped probe keyed by snapshot version; `decode` fills the slot on
-// a miss. Versions come from one global counter (dense), so
-// version & (slots-1) distributes uniformly.
+// The slot a snapshot version maps to (direct-mapped). Versions come from
+// one global counter (dense), so version & (slots-1) distributes uniformly.
+inline ScratchSlot& scratch_slot(std::uint64_t version) {
+  std::vector<ScratchSlot>& slots = scratch_slots();
+  return slots[version & (slots.size() - 1)];
+}
+
+// Probe keyed by snapshot version; `decode` fills the slot on a miss.
 template <typename DecodeFn>
 inline const Profile& scratch_lookup(std::uint64_t version, DecodeFn&& decode) {
-  std::vector<ScratchSlot>& slots = scratch_slots();
-  ScratchSlot& slot = slots[version & (slots.size() - 1)];
+  ScratchSlot& slot = scratch_slot(version);
   if (slot.version != version) [[unlikely]] {
     if (obs::enabled()) obs::add(scratch_miss_metric());
     decode(slot.profile);
@@ -726,8 +730,7 @@ inline void DescriptorRef::prefetch(Prefetch stage) const {
     __builtin_prefetch(rec);
     return;
   }
-  std::vector<detail::ScratchSlot>& slots = detail::scratch_slots();
-  const detail::ScratchSlot& slot = slots[rec->version & (slots.size() - 1)];
+  const detail::ScratchSlot& slot = detail::scratch_slot(rec->version);
   if (stage == Prefetch::kSlot) {
     const char* bytes = reinterpret_cast<const char*>(&slot);
     for (std::size_t at = 0; at < sizeof(slot); at += 64) __builtin_prefetch(bytes + at);

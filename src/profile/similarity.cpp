@@ -67,56 +67,43 @@ double common_dot(const Profile& a, const Profile& b) {
 
 #ifdef WHATSUP_X86_DISPATCH
 
-// Broadcast-compare probe: each candidate id (ascending) is compared with
-// every prepared subject id at once; subject ids are unique, so a probe
-// matches at most one lane and matches accumulate in ascending id order.
-// Subjects of up to 16 entries stay in two registers, and their probe loop
-// is branch-free: it records match positions, accumulated afterwards.
+// Broadcast-compare probe for prepared subjects of up to 16 entries, held
+// in two registers: each candidate id (ascending) is compared with every
+// subject id at once. Subject ids are unique, so a probe matches at most one
+// lane; the loop is branch-free and records match positions, accumulated
+// afterwards in ascending id order.
 __attribute__((target("avx512f"))) WupStats wup_probe_avx512(
     const ItemId* ia, const double* sa, std::size_t na, const ItemId* ib,
     const double* sb, std::size_t nb) {
   WupStats s;
   if (na == 0) return s;
-  const ItemId last = ia[na - 1];
   const auto lanes = [](std::size_t n) {
     return static_cast<__mmask8>(n >= 8 ? 0xFF : (1u << n) - 1);
   };
-  const auto accumulate = [&](std::size_t i, std::size_t j) {
-    const double va = sa[i];
-    s.dot += va * sb[j];
-    s.sub_norm2 += va * va;
-  };
-  if (na <= 16) {
-    const __mmask8 m0 = lanes(na), m1 = lanes(na > 8 ? na - 8 : 0);
-    const __m512i lo = _mm512_maskz_loadu_epi64(m0, ia);
-    const __m512i hi = _mm512_maskz_loadu_epi64(m1, ia + 8);
-    // At most na matches; slot [matches] takes the non-matching writes.
-    std::uint32_t at_i[17] = {}, at_j[17] = {};
-    std::size_t matches = 0;
-    for (std::size_t j = 0; j < nb && ib[j] <= last; ++j) {
-      const __m512i key = _mm512_set1_epi64(static_cast<long long>(ib[j]));
-      const unsigned hit = _mm512_mask_cmpeq_epi64_mask(m0, lo, key) |
-                           (unsigned{_mm512_mask_cmpeq_epi64_mask(m1, hi, key)} << 8);
-      at_i[matches] = static_cast<std::uint32_t>(__builtin_ctz(hit | 0x10000u));
-      at_j[matches] = static_cast<std::uint32_t>(j);
-      matches += hit != 0 ? 1 : 0;
-    }
-    for (std::size_t m = 0; m < matches; ++m) accumulate(at_i[m], at_j[m]);
-    return s;
-  }
-  // Larger subjects: both id lists ascend, so the subject block that can
-  // hold a probe only moves forward — one compare per candidate id.
-  std::size_t b = 0;
+  const __mmask8 m0 = lanes(na), m1 = lanes(na > 8 ? na - 8 : 0);
+  const __m512i lo = _mm512_maskz_loadu_epi64(m0, ia);
+  const __m512i hi = _mm512_maskz_loadu_epi64(m1, ia + 8);
+  const ItemId last = ia[na - 1];
+  // At most na matches; slot [matches] takes the non-matching writes.
+  std::uint32_t at_i[17] = {}, at_j[17] = {};
+  std::size_t matches = 0;
   for (std::size_t j = 0; j < nb && ib[j] <= last; ++j) {
-    while (ia[std::min(b + 7, na - 1)] < ib[j]) b += 8;
-    const __mmask8 m = lanes(na - b);
-    const unsigned hit = _mm512_mask_cmpeq_epi64_mask(
-        m, _mm512_maskz_loadu_epi64(m, ia + b),
-        _mm512_set1_epi64(static_cast<long long>(ib[j])));
-    if (hit != 0) accumulate(b + static_cast<std::size_t>(__builtin_ctz(hit)), j);
+    const __m512i key = _mm512_set1_epi64(static_cast<long long>(ib[j]));
+    const unsigned hit = _mm512_mask_cmpeq_epi64_mask(m0, lo, key) |
+                         (unsigned{_mm512_mask_cmpeq_epi64_mask(m1, hi, key)} << 8);
+    at_i[matches] = static_cast<std::uint32_t>(__builtin_ctz(hit | 0x10000u));
+    at_j[matches] = static_cast<std::uint32_t>(j);
+    matches += hit != 0 ? 1 : 0;
+  }
+  for (std::size_t m = 0; m < matches; ++m) {
+    const double va = sa[at_i[m]];
+    s.dot += va * sb[at_j[m]];
+    s.sub_norm2 += va * va;
   }
   return s;
 }
+
+constexpr std::size_t kProbeMaxEntries = 16;
 
 const bool kHaveAvx512 = __builtin_cpu_supports("avx512f") != 0;
 
@@ -286,6 +273,7 @@ double SimilarityScorer::wup_scalar(const Profile& candidate) const {
 
 double SimilarityScorer::wup_avx512(const Profile& candidate) const {
 #ifdef WHATSUP_X86_DISPATCH
+  if (ids_.size() > kProbeMaxEntries) return wup_scalar(candidate);
   return wup_finish(wup_probe_avx512(ids_.data(), scores_.data(), ids_.size(),
                                      candidate.ids().data(), candidate.scores().data(),
                                      candidate.size()),

@@ -53,8 +53,9 @@ double similarity(Metric metric, const Profile& subject, const Profile& candidat
 // One subject scored against many candidates — the selection loops of
 // View::assign_closest and BEEP's select_most_similar. For Metric::kWup the
 // subject is prepared once: its nonzero-score (id, score) entries. Each
-// candidate's ascending ids are then probed against them (AVX-512
-// broadcast-compare where available, else a scalar merge). A zero subject
+// candidate's ascending ids are then probed against them: an AVX-512
+// broadcast-compare where available and the prepared subject fits two
+// registers (at most 16 entries), else a scalar merge. A zero subject
 // score adds +0 to both sums, so skipping those entries, and accumulating
 // the matches in ascending id order exactly as the pairwise merge does,
 // keeps every score bit-identical to wup_similarity (for finite scores).
@@ -74,7 +75,8 @@ class SimilarityScorer {
 
   // The two WUP kernel bodies behind score(), exposed so tests can check
   // them against each other and against wup_similarity. wup_avx512
-  // requires avx512_available().
+  // requires avx512_available(); it runs the scalar body for prepared
+  // subjects of more than 16 entries.
   double wup_scalar(const Profile& candidate) const;
   double wup_avx512(const Profile& candidate) const;
   static bool avx512_available();

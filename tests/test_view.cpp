@@ -242,10 +242,12 @@ TEST(MergeCandidates, OrderMatchesOriginalMapMerge) {
   };
   for (int round = 0; round < 400; ++round) {
     const auto self = static_cast<NodeId>(rng.index(120));
-    const auto base = source(rng.index(40), self);
-    const auto view = source(rng.index(40), self);
+    // Every 50th round is large enough to spill the merge's stack buffer.
+    const std::size_t most = round % 50 == 0 ? 300 : 40;
+    const auto base = source(rng.index(most), self);
+    const auto view = source(rng.index(most), self);
     const auto sender = source(1, self);
-    const auto rps = source(rng.index(40), self);
+    const auto rps = source(rng.index(most), self);
     std::vector<net::Descriptor> incoming = view;
     incoming.insert(incoming.end(), sender.begin(), sender.end());
     incoming.insert(incoming.end(), rps.begin(), rps.end());
