@@ -1,7 +1,8 @@
 // Microbenchmarks of the hot kernels in the WhatsUp stack: similarity
 // computation (the WUP clustering inner loop), view merges, item-profile
-// aggregation, the engine's route + deliver message path, the wire codec
-// of the fragment exchange, and the SCC analysis used by Fig. 4.
+// aggregation, the engine's route + deliver message path, the fault
+// layer's link-chain and dedup-log state, the wire codec of the fragment
+// exchange, and the SCC analysis used by Fig. 4.
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
@@ -23,6 +24,7 @@
 #include "profile/similarity.hpp"
 #include "profile/snapshot.hpp"
 #include "sim/engine.hpp"
+#include "sim/reliability.hpp"
 
 // Global operator-new hook counting heap allocations, so the payload
 // benchmarks can report `allocs_per_op` — the number the CoW + SBO work
@@ -372,6 +374,67 @@ void BM_EngineRouteDeliver(benchmark::State& state) {
   state.SetItemsProcessed(static_cast<std::int64_t>(delivered));
 }
 BENCHMARK(BM_EngineRouteDeliver)->Arg(500)->Arg(10000);
+
+// ---- Fault-layer state (sim/engine.hpp, sim/reliability.hpp) ----------------
+//
+// Burst-loss chain lookup: 500 senders whose rows hold range(0) chains each
+// (faults-500 fills ~450 of 499), probed in commit order — senders
+// ascending, each sender's recipients in random order — at the chains' own
+// cycle, so each call is the row search alone, no chain step.
+void BM_LinkChainLookup(benchmark::State& state) {
+  constexpr NodeId kSenders = 500;
+  const auto per_row = static_cast<std::size_t>(state.range(0));
+  net::BurstLossModel burst;
+  burst.p_enter = 0.08;
+  burst.p_exit = 0.25;
+  burst.loss_bad = 0.6;
+  const Rng root(7);
+  Rng rng(8);
+  sim::LinkChains chains;
+  std::vector<NodeId> recipients(kSenders);
+  std::vector<std::pair<NodeId, NodeId>> links;
+  for (NodeId from = 0; from < kSenders; ++from) {
+    for (NodeId to = 0; to < kSenders; ++to) recipients[to] = to;
+    rng.shuffle(recipients);  // first uses in random order
+    for (std::size_t i = 0; i < per_row; ++i) {
+      chains.advance(from, recipients[i], 0, burst, root);
+      links.emplace_back(from, recipients[i]);
+    }
+  }
+  std::size_t next = 0;
+  for (auto _ : state) {
+    const auto [from, to] = links[next];
+    next = next + 1 == links.size() ? 0 : next + 1;
+    benchmark::DoNotOptimize(chains.advance(from, to, 0, burst, root));
+  }
+}
+BENCHMARK(BM_LinkChainLookup)->Arg(32)->Arg(450);
+
+// One news receipt classified by a full DedupLog (default capacity 1024):
+// a stream over 1536 items x 2 hops, so about half the receipts repeat a
+// key still in the log and the rest evict the oldest key, as on
+// faults-500. `allocs_per_op` must read 0 once the log is full.
+void BM_DedupLogInsert(benchmark::State& state) {
+  Rng rng(9);
+  std::vector<std::pair<ItemId, int>> stream(1 << 14);
+  for (auto& [item, hop] : stream) {
+    item = 0x9e3779b97f4a7c15ULL * (rng.index(1536) + 1);
+    hop = static_cast<int>(rng.index(2));
+  }
+  sim::DedupLog log(1024);
+  for (const auto& [item, hop] : stream) log.seen_or_insert(item, hop);  // fill
+  std::size_t next = 0;
+  const std::uint64_t before = allocs_now();
+  for (auto _ : state) {
+    const auto& [item, hop] = stream[next];
+    next = (next + 1) & (stream.size() - 1);
+    benchmark::DoNotOptimize(log.seen_or_insert(item, hop));
+  }
+  state.counters["allocs_per_op"] = benchmark::Counter(
+      static_cast<double>(allocs_now() - before) /
+      static_cast<double>(state.iterations()));
+}
+BENCHMARK(BM_DedupLogInsert);
 
 // ---- Wire codec (net/wire.hpp) ---------------------------------------------
 //

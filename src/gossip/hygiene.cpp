@@ -15,7 +15,8 @@ bool ViewHygiene::report_failure(NodeId node) {
 }
 
 void ViewHygiene::absolve(NodeId node) {
-  if (config_.suspicion_limit <= 0) return;
+  // Runs on every received message; most of the time nobody is suspected.
+  if (config_.suspicion_limit <= 0 || suspicion_.empty()) return;
   suspicion_.erase(node);
 }
 

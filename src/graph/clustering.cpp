@@ -8,21 +8,27 @@ namespace whatsup::graph {
 namespace {
 
 // Shared triangle-counting core. `rows(v)` must return the sorted, unique
-// undirected neighborhood of v (any span-like range of NodeId).
+// undirected neighborhood of v (any span-like range of NodeId). For each
+// node, its neighbours are stamped, then each neighbour's row is scanned
+// once past that neighbour's own id: every stamped id there closes one
+// neighbour pair (i < j), so `links` counts the same pairs a pairwise
+// membership test would.
 template <typename RowFn>
 double avg_local_clustering_rows(std::size_t n, const RowFn& rows) {
   if (n == 0) return 0.0;
+  std::vector<NodeId> stamp(n, kNoNode);
   double total = 0.0;
   std::size_t counted = 0;
   for (NodeId v = 0; v < n; ++v) {
     const auto nbrs = rows(v);
     const std::size_t k = nbrs.size();
     if (k < 2) continue;
+    for (const NodeId w : nbrs) stamp[w] = v;
     std::size_t links = 0;
-    for (std::size_t i = 0; i < k; ++i) {
-      const auto wi = rows(nbrs[i]);
-      for (std::size_t j = i + 1; j < k; ++j) {
-        if (std::binary_search(wi.begin(), wi.end(), nbrs[j])) ++links;
+    for (const NodeId w : nbrs) {
+      const auto wi = rows(w);
+      for (auto it = std::upper_bound(wi.begin(), wi.end(), w); it != wi.end(); ++it) {
+        links += stamp[*it] == v ? 1 : 0;
       }
     }
     total += 2.0 * static_cast<double>(links) / (static_cast<double>(k) * static_cast<double>(k - 1));

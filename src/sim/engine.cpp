@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cassert>
 #include <stdexcept>
+#include <string>
 #include <thread>
 #include <variant>
 
@@ -95,6 +96,10 @@ struct EngineMetrics {
       obs::counter("transport.activate.bytes_in", "bytes")};
   obs::MetricId serialize_ns = obs::counter("transport.serialize_ns", "ns");
   obs::MetricId serialize_messages = obs::counter("transport.serialize.messages");
+  // Burst-loss work, counted at commit on the main thread (exact per seed
+  // at any thread count): chains created, and elapsed-cycle steps walked.
+  obs::MetricId link_chains = obs::counter("sim.fault.link_chains");
+  obs::MetricId chain_steps = obs::counter("sim.fault.chain_steps");
 
   static const EngineMetrics& get() {
     static const EngineMetrics m;
@@ -103,6 +108,35 @@ struct EngineMetrics {
 };
 
 }  // namespace
+
+bool LinkChains::advance(NodeId from, NodeId to, Cycle now,
+                         const net::BurstLossModel& burst, const Rng& root) {
+  if (from >= rows_.size()) rows_.resize(static_cast<std::size_t>(from) + 1);
+  std::vector<LinkState>& row = rows_[from];
+  auto it = std::lower_bound(row.begin(), row.end(), to,
+                             [](const LinkState& s, NodeId t) { return s.to < t; });
+  if (it == row.end() || it->to != to) {
+    it = row.insert(it, LinkState{to, static_cast<std::uint32_t>(now), 0});
+    obs::add(EngineMetrics::get().link_chains);
+  }
+  // Lazy advance: one counter-based bernoulli per elapsed cycle, keyed
+  // (link, cycle) — the chain is a pure function of the seed and the
+  // link's first-use cycle, never of how many messages crossed it.
+  const std::uint64_t key = (static_cast<std::uint64_t>(from) << 32) | to;
+  const auto target = static_cast<std::uint32_t>(now);
+  std::uint32_t cycle = it->cycle;
+  bool bad = it->bad != 0;
+  if (cycle >= target) return bad;
+  obs::add(EngineMetrics::get().chain_steps, target - cycle);
+  while (cycle < target) {
+    ++cycle;
+    Rng step = root.fork(key, as_substream(static_cast<Cycle>(cycle)));
+    bad = bad ? !step.bernoulli(burst.p_exit) : step.bernoulli(burst.p_enter);
+  }
+  it->cycle = cycle;
+  it->bad = bad ? 1 : 0;
+  return bad;
+}
 
 Cycle Context::now() const { return engine_.now(); }
 Rng& Context::rng() { return engine_.node_rng(self_); }
@@ -339,8 +373,8 @@ Rng Engine::reliability_rng(NodeId id) const {
 void Engine::set_network(const net::NetworkConfig& network) {
   config_.network = network;
   // Chains restart in the good state when a later episode re-enables
-  // bursty loss (also reclaims the map between episodes).
-  if (!config_.network.burst.enabled()) link_state_.clear();
+  // bursty loss (also reclaims the rows between episodes).
+  if (!config_.network.burst.enabled()) link_chains_.clear();
   if (!shards_.empty()) ensure_shards();  // grow mailbox rings if needed
 }
 
@@ -355,22 +389,6 @@ std::size_t Engine::window() const {
   return static_cast<std::size_t>(config_.network.latency + config_.network.jitter +
                                   reorder) +
          2;
-}
-
-bool Engine::link_bad(NodeId from, NodeId to) {
-  const std::uint64_t key = (static_cast<std::uint64_t>(from) << 32) | to;
-  const auto [it, fresh] = link_state_.try_emplace(key, LinkState{now_, false});
-  LinkState& state = it->second;
-  // Lazy advance: one counter-based bernoulli per elapsed cycle, keyed
-  // (link, cycle) — the chain is a pure function of the seed and the
-  // link's first-use cycle, never of how many messages crossed it.
-  const net::BurstLossModel& burst = config_.network.burst;
-  while (state.cycle < now_) {
-    ++state.cycle;
-    Rng step = fault_root_.fork(key, as_substream(state.cycle));
-    state.bad = state.bad ? !step.bernoulli(burst.p_exit) : step.bernoulli(burst.p_enter);
-  }
-  return state.bad;
 }
 
 Shard& Engine::shard_for(NodeId node) {
@@ -448,6 +466,16 @@ Rng Engine::message_rng(NodeId from) {
 }
 
 void Engine::route_message(net::Message message) {
+  // kNoNode is the unaddressed default of net::Message: routing it would
+  // size the per-sender tables and the shard vector to 2^32 entries.
+  if (message.from == kNoNode || message.to == kNoNode) {
+    throw std::invalid_argument(
+        "sim::Engine: cannot route " + net::to_string(message.type) + " message from " +
+        (message.from == kNoNode ? std::string("kNoNode") : std::to_string(message.from)) +
+        " to " +
+        (message.to == kNoNode ? std::string("kNoNode") : std::to_string(message.to)) +
+        " sent at cycle " + std::to_string(message.sent_at) + ": unaddressed endpoint");
+  }
   const net::Protocol protocol = net::protocol_of(message.type);
   traffic_.record_sent(protocol, config_.size_model.bytes(message));
   obs::add(EngineMetrics::get().routed);
@@ -492,7 +520,8 @@ void Engine::route_message(net::Message message) {
   // message stream's draw sequence — and every baseline trajectory — is
   // untouched otherwise (same contract as the partition gate above).
   if (config_.network.burst.enabled()) {
-    const bool bad = link_bad(message.from, message.to);
+    const bool bad = link_chains_.advance(message.from, message.to, now_,
+                                          config_.network.burst, fault_root_);
     const double p = bad ? config_.network.burst.loss_bad : config_.network.burst.loss_good;
     if (p > 0.0 && mrng.bernoulli(p)) {
       traffic_.record_dropped(protocol);

@@ -36,7 +36,7 @@
 #include <atomic>
 #include <functional>
 #include <memory>
-#include <unordered_map>
+#include <span>
 #include <utility>
 #include <vector>
 
@@ -118,6 +118,38 @@ class Agent {
   // place to drop stale soft state and run a rejoin handshake. Default:
   // resume with whatever state the agent held (crash-oblivious protocols).
   virtual void on_recover(Context& ctx) { (void)ctx; }
+};
+
+// Gilbert–Elliott per-link chain states for bursty loss
+// (net::BurstLossModel), one row per sender sorted by recipient. A chain is
+// created in the good state at its link's first use. Advancing it draws
+// one counter-based bernoulli per elapsed cycle from
+// root.fork((from << 32) | to, cycle), so the state sequence is a pure
+// function of the seed and the link's first-use cycle — independent of
+// traffic volume, of other links, of the order links were first used and
+// of the thread count.
+class LinkChains {
+ public:
+  struct LinkState {
+    NodeId to = 0;
+    std::uint32_t cycle : 31 = 0;  // last-advanced cycle (Cycle is >= 0 here)
+    std::uint32_t bad : 1 = 0;
+  };
+  static_assert(sizeof(LinkState) == 8, "one chain per directed link: keep it packed");
+
+  // Advances the (from, to) chain to `now` (creating it on first use) and
+  // returns whether the link is in the bad state.
+  bool advance(NodeId from, NodeId to, Cycle now, const net::BurstLossModel& burst,
+               const Rng& root);
+  // The sender's chains, ascending by recipient.
+  std::span<const LinkState> row(NodeId from) const {
+    return from < rows_.size() ? std::span<const LinkState>(rows_[from])
+                               : std::span<const LinkState>();
+  }
+  void clear() { rows_.clear(); }
+
+ private:
+  std::vector<std::vector<LinkState>> rows_;
 };
 
 class Engine : public ParallelExecutor {
@@ -290,16 +322,9 @@ class Engine : public ParallelExecutor {
   std::vector<bool> crashed_;       // crash-fault flag, distinct from churn
   std::vector<std::pair<Cycle, NodeId>> recoveries_;  // scheduled recover()s
 
-  // Gilbert–Elliott per-link chain states, keyed (from << 32) | to and
-  // created lazily at a link's first use while bursty loss is enabled.
-  // Advancing a chain draws one counter-based bernoulli per elapsed cycle
-  // from fault_root_.fork(link, cycle), so the state sequence is a pure
-  // function of the seed — independent of traffic volume and thread count.
-  struct LinkState {
-    Cycle cycle = 0;
-    bool bad = false;
-  };
-  std::unordered_map<std::uint64_t, LinkState> link_state_;
+  // Burst-loss chains, advanced from fault_root_ at commit (main thread)
+  // while bursty loss is enabled.
+  LinkChains link_chains_;
 
   // Per-node per-cycle streams, reseeded lazily on first use in a cycle.
   std::vector<Rng> node_rng_;
@@ -352,9 +377,6 @@ class Engine : public ParallelExecutor {
   std::vector<CycleHook> hooks_;
 
   std::size_t window() const;
-  // Advances the (from, to) burst chain to the current cycle and returns
-  // whether the link is in the bad state.
-  bool link_bad(NodeId from, NodeId to);
   // Per-cycle fault-layer passes (run_cycle start; no-ops when disabled).
   void process_recoveries();
   void apply_random_crashes();
@@ -374,7 +396,8 @@ class Engine : public ParallelExecutor {
   // Applies the network model to one message (traffic, loss, latency,
   // reorder, duplicate) and queues the survivors: locally owned
   // destinations into pending_local_, remote ones serialized into
-  // wire_out_. Part of a commit slot — finish_slot() must follow.
+  // wire_out_. Part of a commit slot — finish_slot() must follow. Throws
+  // std::invalid_argument when `from` or `to` is kNoNode.
   void route_message(net::Message message);
   // Closes a commit slot: barrier-exchanges wire_out_ with the peer
   // fragments (none in-process), decodes the peers' batches, restores

@@ -27,8 +27,6 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <deque>
-#include <unordered_set>
 #include <vector>
 
 #include "common/ids.hpp"
@@ -53,24 +51,41 @@ struct ReliabilityConfig {
 // Bounded FIFO log of recently seen (item, hop) keys. Classifies repeat
 // deliveries of the same copy (retransmissions, network duplicates) so
 // they can be re-acked without reprocessing, with O(capacity) memory.
+//
+// Layout: the keys sit in a ring in insertion order; the ring grows to
+// `capacity`, then each insertion overwrites the oldest key. An
+// open-addressing table of 16-bit ring positions (at least 2 × capacity
+// slots, a power of two; linear probing, backward-shift deletion) indexes
+// the ring, so a lookup touches one short probe run and the log stops
+// allocating once the ring is full.
 class DedupLog {
  public:
+  // Throws std::invalid_argument when capacity > kMaxCapacity; 0 acts as 1.
   explicit DedupLog(std::size_t capacity = 1024);
+
+  static constexpr std::size_t kMaxCapacity = 65535;
 
   // True when the key was already present (a duplicate); records it and
   // returns false otherwise. Eviction is FIFO on insertion order.
   bool seen_or_insert(ItemId item, int hop);
 
-  std::size_t size() const { return order_.size(); }
+  std::size_t size() const { return ring_.size(); }
   std::size_t capacity() const { return capacity_; }
   void clear();
 
  private:
+  static constexpr std::uint16_t kEmpty = 0xffff;  // never a ring position
+
   static std::uint64_t key(ItemId item, int hop);
+  std::size_t home(std::uint64_t k) const;
+  // Removes the index entry of ring position `pos` (holding key `k`).
+  void unindex(std::uint64_t k, std::uint16_t pos);
 
   std::size_t capacity_;
-  std::unordered_set<std::uint64_t> set_;
-  std::deque<std::uint64_t> order_;
+  std::vector<std::uint64_t> ring_;   // keys; ring_[oldest_] is next to go once full
+  std::size_t oldest_ = 0;
+  std::vector<std::uint16_t> slots_;  // ring positions or kEmpty
+  int shift_ = 0;                     // 64 - log2(slots)
 };
 
 // Per-node retransmission queue for in-flight news copies.

@@ -4,6 +4,8 @@
 
 #include <memory>
 #include <set>
+#include <stdexcept>
+#include <string>
 #include <vector>
 
 namespace whatsup::sim {
@@ -210,6 +212,56 @@ TEST(Engine, JitterSpreadsDeliveries) {
   std::set<Cycle> arrival_cycles;
   for (const auto& [from, cycle] : fx.probes[1]->received) arrival_cycles.insert(cycle);
   EXPECT_GT(arrival_cycles.size(), 1u);
+}
+
+// kNoNode is net::Message's unaddressed default. Routing it would size the
+// per-sender tables and the shard vector to 2^32 entries, so the commit
+// rejects it with a diagnosis instead.
+TEST(Engine, RoutingRejectsUnaddressedEndpoints) {
+  const auto route_error = [](NodeId from, NodeId to) -> std::string {
+    Fixture fx;
+    fx.engine.send(news_message(from, to));
+    try {
+      fx.engine.run_cycle();
+    } catch (const std::invalid_argument& e) {
+      return e.what();
+    }
+    return "";
+  };
+  const std::string no_sender = route_error(kNoNode, 1);
+  EXPECT_NE(no_sender.find("kNoNode"), std::string::npos) << no_sender;
+  EXPECT_NE(no_sender.find(net::to_string(net::MsgType::kNews)), std::string::npos)
+      << no_sender;
+  const std::string no_recipient = route_error(1, kNoNode);
+  EXPECT_NE(no_recipient.find("from 1 to kNoNode"), std::string::npos) << no_recipient;
+  // A default-constructed message is unaddressed on both ends.
+  {
+    Fixture fx;
+    net::Message m;
+    m.type = net::MsgType::kNews;
+    m.payload = net::NewsPayload{};
+    fx.engine.send(std::move(m));
+    EXPECT_THROW(fx.engine.run_cycle(), std::invalid_argument);
+  }
+  // Agent sends are routed at the phase commit and rejected the same way.
+  struct SendsToNowhere : Agent {
+    void on_cycle(Context& ctx) override {
+      ctx.send(kNoNode, net::MsgType::kNews, net::NewsPayload{});
+    }
+    void on_message(Context&, const net::Message&) override {}
+    void publish(Context&, ItemIdx, ItemId) override {}
+  };
+  {
+    Engine engine(Engine::Config{});
+    engine.add_agent(std::make_unique<SendsToNowhere>());
+    EXPECT_THROW(engine.run_cycle(), std::invalid_argument);
+  }
+  // Ids that are unregistered but below kNoNode stay legal: the message is
+  // routed and lost at delivery, as before.
+  Fixture fx;
+  fx.engine.send(news_message(0, 9));
+  EXPECT_NO_THROW(fx.engine.run_cycles(2));
+  EXPECT_EQ(route_error(0, 1), "");
 }
 
 }  // namespace

@@ -432,6 +432,33 @@ TEST(ObsDeterminism, SimilarityCountersExactAcrossRunsAndThreads) {
   EXPECT_EQ(counts(4), first);
 }
 
+// The burst-loss work counters are exact too: chains are created and
+// walked at commit, on the main thread, so 1, 2 and 4 worker threads count
+// the same chains and steps.
+TEST(ObsDeterminism, FaultCountersExactAcrossThreads) {
+  StatsGuard guard;
+  const data::Workload workload = obs_workload();
+  auto counts = [&](unsigned threads) {
+    analysis::RunConfig config = obs_run_config();
+    config.threads = threads;
+    config.network.burst.p_enter = 0.1;
+    config.network.burst.p_exit = 0.3;
+    config.network.burst.loss_bad = 0.6;
+    config.observability.enable_stats = true;
+    obs::Registry::instance().reset();
+    const analysis::RunResult result = analysis::run_protocol(workload, config);
+    obs::set_enabled(false);
+    return std::pair{result.stats.value("sim.fault.link_chains"),
+                     result.stats.value("sim.fault.chain_steps")};
+  };
+  const auto first = counts(1);
+  EXPECT_GT(first.first, 0u);
+  EXPECT_GT(first.second, first.first);
+  EXPECT_EQ(counts(1), first);
+  EXPECT_EQ(counts(2), first);
+  EXPECT_EQ(counts(4), first);
+}
+
 // Same contract across the fragment seam: P in-process partition workers
 // with stats enabled must sum (mod 2^64) to the telemetry-off
 // single-process digest series. Each fragment worker writes its own lanes;
