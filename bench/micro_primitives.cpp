@@ -411,14 +411,14 @@ void BM_LinkChainLookup(benchmark::State& state) {
 BENCHMARK(BM_LinkChainLookup)->Arg(32)->Arg(450);
 
 // One news receipt classified by a full DedupLog (default capacity 1024):
-// a stream over 1536 items x 2 hops, so about half the receipts repeat a
+// a stream over 1024 items x 2 hops, so about half the receipts repeat a
 // key still in the log and the rest evict the oldest key, as on
 // faults-500. `allocs_per_op` must read 0 once the log is full.
 void BM_DedupLogInsert(benchmark::State& state) {
   Rng rng(9);
   std::vector<std::pair<ItemId, int>> stream(1 << 14);
   for (auto& [item, hop] : stream) {
-    item = 0x9e3779b97f4a7c15ULL * (rng.index(1536) + 1);
+    item = 0x9e3779b97f4a7c15ULL * (rng.index(1024) + 1);
     hop = static_cast<int>(rng.index(2));
   }
   sim::DedupLog log(1024);
