@@ -66,9 +66,9 @@ Profile random_profile(Rng& rng, std::size_t entries, ItemId universe) {
 
 // The production scoring loop of the WUP clustering protocol: a node
 // prepares its own profile once per merge and scores its candidate
-// descriptors against it, decoding each snapshot through the materialize
-// scratch, with one candidate profile churned between merges (the
-// steady-state gossip pattern).
+// descriptors against it straight from their snapshot records, with one
+// candidate profile churned between merges (the steady-state gossip
+// pattern).
 void BM_WupSimilarity(benchmark::State& state) {
   Rng rng(1);
   const auto size = static_cast<std::size_t>(state.range(0));
@@ -83,13 +83,13 @@ void BM_WupSimilarity(benchmark::State& state) {
   for (auto _ : state) {
     // Gossip churn: one candidate re-rated an item since the last merge.
     net::Descriptor& churned = candidates[rng.index(kCandidates)];
-    Profile fresh = churned.profile_ref();
+    Profile fresh = churned.decoded_profile();
     fresh.set(rng.index(4 * size) + 1, 0, rng.bernoulli(0.5) ? 1.0 : 0.0);
     churned = net::make_descriptor(churned.node, churned.timestamp(), fresh);
     scorer.prepare(Metric::kWup, subject);
     double total = 0.0;
     for (const net::Descriptor& d : candidates) {
-      total += scorer.score(d.profile_ref());
+      total += scorer.score(d.snapshot());
     }
     benchmark::DoNotOptimize(total);
   }
@@ -97,17 +97,17 @@ void BM_WupSimilarity(benchmark::State& state) {
 }
 BENCHMARK(BM_WupSimilarity)->Arg(16)->Arg(64)->Arg(256);
 
-// The raw scoring kernel (one prepared subject, one candidate, fixed
-// operands).
+// The raw scoring kernel (one prepared subject, one candidate record,
+// fixed operands).
 void BM_WupSimilarityKernel(benchmark::State& state) {
   Rng rng(1);
   const auto size = static_cast<std::size_t>(state.range(0));
   const Profile a = random_profile(rng, size, 4 * size);
-  const Profile b = random_profile(rng, size, 4 * size);
+  const ProfileHandle b = CompactProfile::encode(random_profile(rng, size, 4 * size));
   SimilarityScorer scorer;
   scorer.prepare(Metric::kWup, a);
   for (auto _ : state) {
-    benchmark::DoNotOptimize(scorer.score(b));
+    benchmark::DoNotOptimize(scorer.score(b.record()));
   }
   state.SetItemsProcessed(state.iterations());
 }
@@ -203,22 +203,23 @@ void BM_CompactEncode(benchmark::State& state) {
 }
 BENCHMARK(BM_CompactEncode)->Arg(16)->Arg(64)->Arg(256);
 
-void BM_CompactMaterialize(benchmark::State& state) {
+// Full decode of a record into a fresh Profile (the cold paths: wire
+// encode, cold start, avg_similarity).
+void BM_CompactDecode(benchmark::State& state) {
   Rng rng(8);
   const auto size = static_cast<std::size_t>(state.range(0));
-  // More generations than scratch slots: every materialize decodes.
   std::vector<ProfileHandle> handles;
   for (int i = 0; i < 6; ++i) {
     handles.push_back(ProfileHandle::snapshot(random_profile(rng, size, 4 * size)));
   }
   std::size_t i = 0;
   for (auto _ : state) {
-    benchmark::DoNotOptimize(handles[i % handles.size()].materialize().size());
+    benchmark::DoNotOptimize(handles[i % handles.size()].decode().size());
     ++i;
   }
   state.SetItemsProcessed(state.iterations());
 }
-BENCHMARK(BM_CompactMaterialize)->Arg(16)->Arg(64)->Arg(256);
+BENCHMARK(BM_CompactDecode)->Arg(16)->Arg(64)->Arg(256);
 
 // ---- News payload replication (BEEP fan-out, §III) ------------------------
 //

@@ -17,7 +17,7 @@ NodeId select_most_similar(const gossip::View& view, const Profile& item_profile
     if (std::find(excluded.begin(), excluded.end(), d.node) != excluded.end()) {
       continue;
     }
-    const double score = scorer.score(d.profile_ref());
+    const double score = scorer.score(d.snapshot());
     if (score > best_score) {
       best_score = score;
       best = d.node;

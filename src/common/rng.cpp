@@ -150,26 +150,31 @@ std::vector<double> Rng::dirichlet(std::span<const double> alpha) {
 }
 
 std::vector<std::size_t> Rng::sample_indices(std::size_t n, std::size_t k) {
+  std::vector<std::size_t> out;
+  sample_indices(n, k, out);
+  return out;
+}
+
+void Rng::sample_indices(std::size_t n, std::size_t k, std::vector<std::size_t>& out) {
+  out.clear();
   k = std::min(k, n);
-  if (k == 0) return {};
-  // Floyd's algorithm for k << n; full shuffle otherwise.
+  if (k == 0) return;
+  // Floyd's algorithm for k << n; partial shuffle otherwise.
   if (k * 4 <= n) {
-    std::vector<std::size_t> picked;
-    picked.reserve(k);
+    out.reserve(k);
     for (std::size_t j = n - k; j < n; ++j) {
       std::size_t t = index(j + 1);
-      if (std::find(picked.begin(), picked.end(), t) != picked.end()) t = j;
-      picked.push_back(t);
+      if (std::find(out.begin(), out.end(), t) != out.end()) t = j;
+      out.push_back(t);
     }
-    return picked;
+    return;
   }
-  std::vector<std::size_t> all(n);
-  std::iota(all.begin(), all.end(), std::size_t{0});
+  out.resize(n);
+  std::iota(out.begin(), out.end(), std::size_t{0});
   for (std::size_t i = 0; i < k; ++i) {
-    std::swap(all[i], all[i + index(n - i)]);
+    std::swap(out[i], out[i + index(n - i)]);
   }
-  all.resize(k);
-  return all;
+  out.resize(k);
 }
 
 ZipfDistribution::ZipfDistribution(std::size_t n, double exponent) {

@@ -68,6 +68,10 @@ class Rng {
 
   // k distinct indices sampled uniformly from [0, n) (k clamped to n).
   std::vector<std::size_t> sample_indices(std::size_t n, std::size_t k);
+  // The same draws into `out` (cleared first), so a caller that keeps the
+  // buffer allocates nothing once it has grown. The partial-shuffle regime
+  // (k > n / 4) uses n slots of it.
+  void sample_indices(std::size_t n, std::size_t k, std::vector<std::size_t>& out);
 
   // Uniformly chosen element of a non-empty span.
   template <typename T>

@@ -58,7 +58,7 @@ double ClusteringProtocol::avg_similarity(const Profile& own_profile) const {
   if (view_.empty()) return 0.0;
   double total = 0.0;
   for (const net::Descriptor& d : view_.entries()) {
-    total += similarity(metric_, own_profile, d.profile_ref());
+    total += similarity(metric_, own_profile, d.decoded_profile());
   }
   return total / static_cast<double>(view_.size());
 }

@@ -57,8 +57,20 @@ void View::remove(NodeId node) {
   std::erase_if(entries_, [node](const net::Descriptor& d) { return d.node == node; });
 }
 
+namespace {
+
+// Per-thread index buffer for the two samplers below: the result vector is
+// their only allocation.
+std::vector<std::size_t>& sampled_indices(Rng& rng, std::size_t n, std::size_t k) {
+  thread_local std::vector<std::size_t> picks;
+  rng.sample_indices(n, k, picks);
+  return picks;
+}
+
+}  // namespace
+
 std::vector<net::Descriptor> View::random_subset(Rng& rng, std::size_t k) const {
-  const auto picks = rng.sample_indices(entries_.size(), k);
+  const std::vector<std::size_t>& picks = sampled_indices(rng, entries_.size(), k);
   std::vector<net::Descriptor> out;
   out.reserve(picks.size());
   for (std::size_t i : picks) out.push_back(entries_[i]);
@@ -66,7 +78,7 @@ std::vector<net::Descriptor> View::random_subset(Rng& rng, std::size_t k) const 
 }
 
 std::vector<NodeId> View::random_members(Rng& rng, std::size_t k) const {
-  const auto picks = rng.sample_indices(entries_.size(), k);
+  const std::vector<std::size_t>& picks = sampled_indices(rng, entries_.size(), k);
   std::vector<NodeId> out;
   out.reserve(picks.size());
   for (std::size_t i : picks) out.push_back(entries_[i].node);
@@ -137,16 +149,16 @@ void View::assign_closest(std::span<const net::Descriptor*> candidates,
   s.scorer.prepare(metric, own_profile);
   std::vector<std::pair<double, std::size_t>>& scored = s.scored;
   scored.clear();
-  // Scoring is bound by the latency of the stamp record -> scratch slot ->
-  // arrays chain; hints for later candidates overlap those misses.
+  // Scoring is bound by the latency of the stamp record -> blob record ->
+  // encoded bytes chain; hints for later candidates overlap those misses.
   using Prefetch = DescriptorRef::Prefetch;
   constexpr std::size_t kAhead = 3;
   const std::size_t n = candidates.size();
   for (std::size_t i = 0; i < n; ++i) {
-    if (i + 3 * kAhead < n) candidates[i + 3 * kAhead]->prefetch(Prefetch::kRecord);
-    if (i + 2 * kAhead < n) candidates[i + 2 * kAhead]->prefetch(Prefetch::kSlot);
-    if (i + kAhead < n) candidates[i + kAhead]->prefetch(Prefetch::kContents);
-    scored.emplace_back(s.scorer.score(candidates[i]->profile_ref()), i);
+    if (i + 3 * kAhead < n) candidates[i + 3 * kAhead]->prefetch(Prefetch::kStamp);
+    if (i + 2 * kAhead < n) candidates[i + 2 * kAhead]->prefetch(Prefetch::kBlob);
+    if (i + kAhead < n) candidates[i + kAhead]->prefetch(Prefetch::kBytes);
+    scored.emplace_back(s.scorer.score(candidates[i]->snapshot()), i);
   }
   // (descending score, ascending shuffled position) is a strict total order
   // — exactly the ranking the seed's shuffle + stable_sort produced — so

@@ -66,10 +66,12 @@ struct Descriptor {
   std::size_t profile_size() const { return entry_.profile_size(); }
   // Retained handle on the snapshot (cold paths; null if !has_profile()).
   ProfileHandle profile() const { return entry_.profile(); }
-  // Decoded SoA view of the snapshot (thread-local scratch; see
-  // ProfileHandle::materialize for the lifetime contract).
-  const Profile& profile_ref() const { return entry_.materialize(); }
-  // Cache hint ahead of profile_ref() (see DescriptorRef::prefetch).
+  // The snapshot record, borrowed while this descriptor lives (what
+  // SimilarityScorer scores); nullptr if !has_profile().
+  const CompactProfile* snapshot() const { return entry_.snapshot(); }
+  // A decoded copy of the snapshot (cold paths); empty if !has_profile().
+  Profile decoded_profile() const { return entry_.decode(); }
+  // Cache hint ahead of snapshot() (see DescriptorRef::prefetch).
   void prefetch(DescriptorRef::Prefetch stage) const { entry_.prefetch(stage); }
 
  private:

@@ -235,7 +235,7 @@ void encode_descriptor(std::vector<std::uint8_t>& out, const Descriptor& d,
     return;
   }
   obs::add(wire_counters().snapshot_full);
-  encode_profile(out, blob.materialize());
+  encode_profile(out, blob.decode());
 }
 
 bool decode_descriptor(WireReader& r, Descriptor& out, SnapshotRecvTable& link) {

@@ -88,9 +88,7 @@ void Snapshot::absorb(const sim::Engine& engine) {
   set_gauge("engine.mem.outbox_bytes", m.outbox_bytes, "bytes");
   set_gauge("engine.mem.scratch_bytes", m.scratch_bytes, "bytes");
   set_gauge("engine.mem.arena_bytes", m.arena_bytes, "bytes");
-  set_gauge("engine.mem.materialize_slots", m.materialize_slots);
-  set_gauge("engine.mem.materialize_bytes_per_thread",
-            m.materialize_bytes_per_thread, "bytes");
+  set_gauge("engine.mem.fault_bytes", m.fault_bytes, "bytes");
   set_gauge("engine.mem.total_bytes", m.total(), "bytes");
 }
 

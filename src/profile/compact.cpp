@@ -53,10 +53,8 @@ void CompactProfile::init_from(const Profile& profile) {
 
   SmallVector<std::uint8_t, kInlineBytes>& out = bytes_;
   const std::size_t score_bytes = binary ? (n + 7) / 8 : n * sizeof(double);
-  out.reserve(delta_encoded_size(ids.data(), n) +
-              delta_encoded_size(wide.data(), n) + score_bytes);
-  delta_encode(out, ids.data(), n);
-  delta_encode(out, wide.data(), n);
+  out.reserve(score_bytes + delta_encoded_size(ids.data(), n) +
+              delta_encoded_size(wide.data(), n));
   if (binary) {
     for (std::size_t base = 0; base < n; base += 8) {
       std::uint8_t mask = 0;
@@ -73,6 +71,8 @@ void CompactProfile::init_from(const Profile& profile) {
       }
     }
   }
+  delta_encode(out, ids.data(), n);
+  delta_encode(out, wide.data(), n);
 }
 
 ProfileHandle CompactProfile::encode(const Profile& profile) {
@@ -84,7 +84,19 @@ void CompactProfile::decode_into(Profile& out) const {
   out.ids_.resize(n);
   out.timestamps_.resize(n);
   out.scores_.resize(n);
-  const std::uint8_t* p = bytes_.data();
+  const std::uint8_t* scores = score_block();
+  if (binary_scores()) {
+    for (std::size_t i = 0; i < n; ++i) {
+      out.scores_[i] = (scores[i / 8] >> (i % 8)) & 1u ? 1.0 : 0.0;
+    }
+  } else {
+    for (std::size_t i = 0; i < n; ++i) {
+      std::uint64_t word = 0;
+      std::memcpy(&word, scores + i * sizeof(double), sizeof(double));
+      out.scores_[i] = std::bit_cast<double>(word);
+    }
+  }
+  const std::uint8_t* p = id_deltas();
   delta_decode(p, out.ids_.data(), n);
   // Timestamps decode straight into the narrow array: delta_decode's
   // running sum, narrowed per entry (no wide staging buffer to allocate).
@@ -93,48 +105,16 @@ void CompactProfile::decode_into(Profile& out) const {
     prev += static_cast<std::uint64_t>(zigzag_decode(varint_read(p)));
     out.timestamps_[i] = static_cast<Cycle>(static_cast<std::int64_t>(prev));
   }
-  if ((flags_ & kBinaryScores) != 0) {
-    for (std::size_t i = 0; i < n; ++i) {
-      out.scores_[i] = (p[i / 8] >> (i % 8)) & 1u ? 1.0 : 0.0;
-    }
-  } else {
-    for (std::size_t i = 0; i < n; ++i) {
-      std::uint64_t word = 0;
-      std::memcpy(&word, p + i * sizeof(double), sizeof(double));
-      out.scores_[i] = std::bit_cast<double>(word);
-    }
-  }
   out.liked_ = liked_;
   out.version_ = version_;
   out.cached_norm_ = norm_;
   out.norm_dirty_ = false;
 }
 
-// The decode scratch itself lives in compact.hpp (detail::scratch_lookup):
-// a per-thread direct-mapped cache of SoA Profiles keyed by the record
-// version. The working set is every snapshot generation a scoring sweep
-// touches — NOT the ~50 candidates of one merge, but every generation
-// still alive in some view across the whole deployment, since scoring
-// sweeps revisit shared candidates node after node. A handful of slots
-// measures a ~0% hit rate and puts varint decode at the top of the profile
-// (~35% of the 500 n × 200 c row, 11M decodes). The slot count is a
-// process-wide knob: the engine derives it from the node count, because
-// the live-generation working set scales with the deployment — the former
-// fixed 8 K slots (~4 MB/thread) priced every small threaded row at the
-// million-node ceiling.
-void set_materialize_scratch_slots(std::size_t slots) {
-  slots = std::bit_ceil(slots);
-  if (slots < kMinMaterializeScratchSlots) slots = kMinMaterializeScratchSlots;
-  if (slots > kMaxMaterializeScratchSlots) slots = kMaxMaterializeScratchSlots;
-  detail::g_scratch_slots.store(slots, std::memory_order_relaxed);
-}
-
-std::size_t materialize_scratch_slots() {
-  return detail::g_scratch_slots.load(std::memory_order_relaxed);
-}
-
-std::size_t materialize_scratch_bytes_per_thread() {
-  return materialize_scratch_slots() * sizeof(detail::ScratchSlot);
+Profile ProfileHandle::decode() const {
+  Profile out;
+  if (slot_ != kNullArenaIndex) record()->decode_into(out);
+  return out;
 }
 
 ProfileHandle ProfileHandle::snapshot(const Profile& profile) {
@@ -149,6 +129,12 @@ const ProfileHandle& empty_profile_handle() {
 }
 
 // ---- DescriptorRef --------------------------------------------------------
+
+Profile DescriptorRef::decode() const {
+  Profile out;
+  if (const CompactProfile* blob = snapshot()) blob->decode_into(out);
+  return out;
+}
 
 DescriptorRef DescriptorRef::make(Cycle timestamp,
                                   const ProfileHandle& profile) {
@@ -192,12 +178,10 @@ ArenaIndex SnapshotArena::make_stamp(Cycle timestamp,
   rec->timestamp = timestamp;
   rec->blob = profile.slot();
   rec->size = 0;
-  rec->version = 0;
   if (rec->blob != kNullArenaIndex) {
     const CompactProfile* blob = blob_pool_.get(rec->blob);
     blob->retain();  // the record's own blob reference
     rec->size = static_cast<std::uint32_t>(blob->size());
-    rec->version = blob->version();
   }
   return index;
 }

@@ -11,24 +11,22 @@
 // descriptor packs into 8 bytes (net/message.hpp). Pieces:
 //
 //  * `CompactProfile` — an immutable, losslessly delta-encoded profile
-//    record: varint zigzag deltas for the (ascending, dense) item ids and
-//    the timestamps, and a 1-bit-per-entry mask for binary score vectors
-//    (user profiles are all 0/1; real-valued item-profile scores fall back
-//    to raw 8-byte doubles). The header keeps the source profile's
-//    `version()`, its cached `norm()` and `liked_count()`, so decoding
-//    reproduces a Profile that is bit-indistinguishable from a copy of the
-//    source — which is what keeps fixed-seed digest trajectories identical
-//    under this storage change. Records live in arena slabs, never on the
-//    general heap (only oversized encoded payloads spill).
+//    record: a 1-bit-per-entry mask for binary score vectors (user
+//    profiles are all 0/1; real-valued item-profile scores fall back to
+//    raw 8-byte doubles), then varint zigzag deltas for the (ascending,
+//    dense) item ids, then for the timestamps. The header keeps the
+//    source profile's `version()`, its cached `norm()` and
+//    `liked_count()`, so decoding reproduces a Profile that is
+//    bit-indistinguishable from a copy of the source — which is what
+//    keeps fixed-seed digest trajectories identical under this storage
+//    change. Records live in arena slabs, never on the general heap (only
+//    oversized encoded payloads spill).
 //  * `ProfileHandle` — the 4-byte value caches and cold paths hold (an
 //    intrusive refcount on the slab record, addressed by arena index).
-//    `materialize()` decodes on demand into a thread-local direct-mapped
-//    cache of SoA scratch Profiles keyed by version, so the similarity
-//    kernels run on exactly the flat arrays they were built for. The
-//    returned reference stays valid until the same thread materializes
-//    another generation — callers hold at most one at a time. The scratch
-//    cache is sized by the engine from the node count
-//    (set_materialize_scratch_slots below).
+//    The scoring loops never decode: SimilarityScorer
+//    (profile/similarity.hpp) reads a candidate's score block and id
+//    deltas straight from the record. `decode()` rebuilds a full Profile
+//    by value for the cold paths (wire encode, cold start, tests).
 //  * `DescriptorRef` — the tagged 4-byte payload of a packed descriptor:
 //    either an index into the arena's stamp-record pool (a tiny refcounted
 //    {timestamp, profile} pair shared by every copy of one descriptor
@@ -58,7 +56,6 @@
 
 #include "common/ids.hpp"
 #include "common/small_vector.hpp"
-#include "obs/registry.hpp"
 #include "profile/profile.hpp"
 
 namespace whatsup {
@@ -86,6 +83,15 @@ class CompactProfile {
   std::uint64_t version() const { return version_; }
   double norm() const { return norm_; }
   std::size_t liked_count() const { return liked_; }
+
+  // The encoded sections a streaming reader needs (SimilarityScorer): the
+  // score block comes first, so the id deltas start at a fixed offset and
+  // a scorer never walks the timestamp varints.
+  bool binary_scores() const { return (flags_ & kBinaryScores) != 0; }
+  const std::uint8_t* score_block() const { return bytes_.data(); }
+  const std::uint8_t* id_deltas() const {
+    return bytes_.data() + (binary_scores() ? (count_ + 7) / 8 : count_ * sizeof(double));
+  }
 
   // Encoded payload bytes (observability; excludes the record header).
   std::size_t encoded_bytes() const { return bytes_.size(); }
@@ -129,24 +135,23 @@ class CompactProfile {
   std::uint32_t count_ = 0;
   std::uint32_t liked_ = 0;
   std::uint8_t flags_ = 0;
-  // Layout: [id deltas][timestamp deltas][score mask | raw doubles].
+  // Layout: [score mask | raw doubles][id deltas][timestamp deltas].
   SmallVector<std::uint8_t, kInlineBytes> bytes_;
 };
 
 // A descriptor generation: the timestamp its owner stamped at emission plus
 // the profile snapshot it shipped. Every copy of the descriptor (views,
 // in-flight messages, merge buffers) shares one record by refcount, so the
-// per-copy cost is the 4-byte index, not the record. The snapshot's header
-// fields the hot paths poll — version (materialize-scratch key) and entry
-// count (wire-size model) — are denormalized into the record at creation
-// (both immutable on the blob), so a scratch probe or size query costs one
-// slab lookup instead of chasing stamp → blob across chunks.
+// per-copy cost is the 4-byte index, not the record. The snapshot's entry
+// count — polled by the wire-size model for every message — is
+// denormalized into the record at creation (immutable on the blob), so a
+// size query costs one slab lookup instead of chasing stamp → blob across
+// chunks.
 struct StampRecord {
   mutable std::atomic<std::uint32_t> refs{1};
   Cycle timestamp = kNoCycle;
   ArenaIndex blob = kNullArenaIndex;  // kNullArenaIndex: bare address, no snapshot
   std::uint32_t size = 0;             // blob entry count (0 when no blob)
-  std::uint64_t version = 0;          // blob generation (0 when no blob)
 };
 
 // Chunked slab pool: records live in fixed-size chunks addressed by a
@@ -329,14 +334,11 @@ class ProfileHandle {
   // make_shared<const Profile>(profile) everywhere descriptors are built).
   static ProfileHandle snapshot(const Profile& profile);
 
-  // Decodes into thread-local SoA scratch (a direct-mapped cache keyed
-  // by version). Null and empty handles return a shared static empty
-  // Profile. The reference is invalidated by the thread's next
-  // materialize() — hold at most one at a time.
-  const Profile& materialize() const;
+  // A decoded copy of the snapshot (cold paths; the scoring loops read
+  // the record itself). Null handles decode to an empty Profile.
+  Profile decode() const;
 
-  // Header reads that do NOT decode — the wire-size model and the
-  // materialize scratch key off these.
+  // Header reads that do NOT decode.
   std::size_t size() const;
   bool empty() const { return size() == 0; }
   std::uint64_t version() const;
@@ -402,15 +404,16 @@ class DescriptorRef {
   std::size_t profile_size() const;
   // Retained handle on the snapshot (cold paths); null when !has_profile().
   ProfileHandle profile() const;
-  // Decoded SoA view (thread-local scratch; see ProfileHandle::materialize
-  // for the lifetime contract). Null refs yield the shared empty Profile.
-  const Profile& materialize() const;
+  // The snapshot record itself, borrowed for as long as this ref lives
+  // (what SimilarityScorer scores); nullptr when !has_profile().
+  const CompactProfile* snapshot() const;
+  // A decoded copy of the snapshot; null refs decode to an empty Profile.
+  Profile decode() const;
   // Cache hints a scoring sweep emits a few candidates ahead of
-  // materialize(): kRecord pulls the stamp record, kSlot the scratch slot
-  // its version maps to, kContents that slot's id and score arrays (on a
-  // hit). Each stage reads what the previous one pulled, so a sweep emits
-  // them at decreasing distances.
-  enum class Prefetch { kRecord, kSlot, kContents };
+  // snapshot(): kStamp pulls the stamp record, kBlob the blob record it
+  // names, kBytes the blob's encoded bytes. Each stage reads what the
+  // previous one pulled, so a sweep emits them at decreasing distances.
+  enum class Prefetch { kStamp, kBlob, kBytes };
   void prefetch(Prefetch stage) const;
 
   bool is_null() const { return bits_ == kNullBits; }
@@ -546,90 +549,6 @@ class SnapshotArena {
   std::atomic<std::uint64_t> epoch_{0};
 };
 
-// ---- materialize scratch sizing -------------------------------------------
-//
-// The thread-local materialize cache is direct-mapped over `slots` entries
-// (~0.5 KB each). The engine derives the slot count from the node count —
-// the live-generation working set a scoring sweep touches scales with the
-// deployment, so a 500-node run no longer pays the 8 K-slot (≈4 MB/thread)
-// ceiling sized for million-node sweeps. Takes effect on each thread's
-// next materialize(); resizing clears that thread's cache (a perf-only
-// event: decode is deterministic).
-inline constexpr std::size_t kMinMaterializeScratchSlots = 1024;
-inline constexpr std::size_t kMaxMaterializeScratchSlots = 8192;
-void set_materialize_scratch_slots(std::size_t slots);
-std::size_t materialize_scratch_slots();
-// Resident bytes of one thread's scratch cache at the current slot count
-// (slot headers + inline Profile storage; decoded heap spill excluded).
-std::size_t materialize_scratch_bytes_per_thread();
-
-// ---- materialize scratch (header-inline: the similarity hot path) ---------
-//
-// Implementation detail of ProfileHandle::materialize / DescriptorRef::
-// materialize, placed in the header so the ~10^7-per-run probe sequence
-// (slot index, version compare, return) inlines into the scoring loops.
-// The out-of-line path is decode_into, which only runs on a scratch miss.
-namespace detail {
-
-// Process-wide slot-count knob (see set_materialize_scratch_slots).
-inline std::atomic<std::size_t> g_scratch_slots{kMaxMaterializeScratchSlots};
-
-struct ScratchSlot {
-  std::uint64_t version = 0;  // 0 = vacant (empty profiles never enter)
-  Profile profile;
-};
-
-// Shared static empty Profile: what null/empty snapshots materialize to.
-inline const Profile& static_empty_profile() {
-  static const Profile kEmpty;
-  return kEmpty;
-}
-
-inline std::vector<ScratchSlot>& scratch_slots() {
-  thread_local std::vector<ScratchSlot> slots;
-  const std::size_t want = g_scratch_slots.load(std::memory_order_relaxed);
-  if (slots.size() != want) [[unlikely]] {
-    slots.clear();
-    slots.resize(want);  // resize clears versions: a perf-only event
-  }
-  return slots;
-}
-
-// Scratch hit/miss counters (the PR 7 cache-sizing cliff, made directly
-// observable). Registered lazily so the ~1e8-call hot path below pays the
-// static-init guard only when stats are enabled.
-inline obs::MetricId scratch_hit_metric() {
-  static const obs::MetricId id = obs::counter("profile.scratch.hits");
-  return id;
-}
-inline obs::MetricId scratch_miss_metric() {
-  static const obs::MetricId id = obs::counter("profile.scratch.misses");
-  return id;
-}
-
-// The slot a snapshot version maps to (direct-mapped). Versions come from
-// one global counter (dense), so version & (slots-1) distributes uniformly.
-inline ScratchSlot& scratch_slot(std::uint64_t version) {
-  std::vector<ScratchSlot>& slots = scratch_slots();
-  return slots[version & (slots.size() - 1)];
-}
-
-// Probe keyed by snapshot version; `decode` fills the slot on a miss.
-template <typename DecodeFn>
-inline const Profile& scratch_lookup(std::uint64_t version, DecodeFn&& decode) {
-  ScratchSlot& slot = scratch_slot(version);
-  if (slot.version != version) [[unlikely]] {
-    if (obs::enabled()) obs::add(scratch_miss_metric());
-    decode(slot.profile);
-    slot.version = version;
-  } else if (obs::enabled()) [[unlikely]] {
-    obs::add(scratch_hit_metric());
-  }
-  return slot.profile;
-}
-
-}  // namespace detail
-
 // ---- inline definitions ---------------------------------------------------
 
 inline SnapshotArena& SnapshotArena::instance() {
@@ -698,8 +617,8 @@ inline bool DescriptorRef::has_profile() const {
 }
 
 inline std::uint64_t DescriptorRef::profile_version() const {
-  if (!is_record()) return 0;
-  return record()->version;  // denormalized from the blob at make_stamp
+  const CompactProfile* blob = snapshot();
+  return blob == nullptr ? 0 : blob->version();
 }
 
 inline std::size_t DescriptorRef::profile_size() const {
@@ -715,42 +634,28 @@ inline ProfileHandle DescriptorRef::profile() const {
   return ProfileHandle::adopt(rec->blob);
 }
 
-inline const Profile& ProfileHandle::materialize() const {
-  if (slot_ == kNullArenaIndex) return detail::static_empty_profile();
-  const CompactProfile* rec = record();
-  if (rec->size() == 0) return detail::static_empty_profile();
-  return detail::scratch_lookup(rec->version(),
-                                [&](Profile& out) { rec->decode_into(out); });
+inline const CompactProfile* DescriptorRef::snapshot() const {
+  if (!is_record()) return nullptr;
+  const StampRecord* rec = record();
+  if (rec->blob == kNullArenaIndex) return nullptr;
+  return SnapshotArena::instance().blob(rec->blob);
 }
 
 inline void DescriptorRef::prefetch(Prefetch stage) const {
   if (!is_record()) return;
-  const StampRecord* rec = SnapshotArena::instance().stamp(bits_);
-  if (stage == Prefetch::kRecord) {
+  const SnapshotArena& arena = SnapshotArena::instance();
+  const StampRecord* rec = arena.stamp(bits_);
+  if (stage == Prefetch::kStamp) {
     __builtin_prefetch(rec);
     return;
   }
-  const detail::ScratchSlot& slot = detail::scratch_slot(rec->version);
-  if (stage == Prefetch::kSlot) {
-    const char* bytes = reinterpret_cast<const char*>(&slot);
-    for (std::size_t at = 0; at < sizeof(slot); at += 64) __builtin_prefetch(bytes + at);
-  } else if (slot.version == rec->version) {
-    __builtin_prefetch(slot.profile.ids().data());
-    __builtin_prefetch(slot.profile.scores().data());
+  if (rec->blob == kNullArenaIndex) return;
+  const CompactProfile* blob = arena.blob(rec->blob);
+  if (stage == Prefetch::kBlob) {
+    __builtin_prefetch(blob);
+  } else {
+    __builtin_prefetch(blob->score_block());
   }
-}
-
-inline const Profile& DescriptorRef::materialize() const {
-  if (!is_record()) return detail::static_empty_profile();
-  SnapshotArena& arena = SnapshotArena::instance();
-  const StampRecord* rec = arena.stamp(bits_);
-  // size/version are denormalized into the stamp record, so a scratch HIT
-  // never touches the blob pool — only a miss pays the second slab lookup
-  // (plus the decode it feeds).
-  if (rec->size == 0) return detail::static_empty_profile();
-  return detail::scratch_lookup(rec->version, [&](Profile& out) {
-    arena.blob(rec->blob)->decode_into(out);
-  });
 }
 
 }  // namespace whatsup

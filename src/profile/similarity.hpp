@@ -20,6 +20,8 @@
 
 namespace whatsup {
 
+class CompactProfile;
+
 enum class Metric {
   kWup,
   kCosine,
@@ -51,41 +53,40 @@ double pearson_similarity(const Profile& a, const Profile& b);
 double similarity(Metric metric, const Profile& subject, const Profile& candidate);
 
 // One subject scored against many candidates — the selection loops of
-// View::assign_closest and BEEP's select_most_similar. For Metric::kWup the
-// subject is prepared once: its nonzero-score (id, score) entries. Each
-// candidate's ascending ids are then probed against them: an AVX-512
-// broadcast-compare where available and the prepared subject fits two
-// registers (at most 16 entries), else a scalar merge. A zero subject
-// score adds +0 to both sums, so skipping those entries, and accumulating
-// the matches in ascending id order exactly as the pairwise merge does,
-// keeps every score bit-identical to wup_similarity (for finite scores).
-// The other metrics run their pairwise merge against the subject.
+// View::assign_closest and BEEP's select_most_similar. Candidates are
+// scored straight from their compact snapshot records, never decoded: the
+// scorer walks a record's id deltas in ascending order (one-byte varints
+// take a fast path), probes each id against the prepared subject, reads a
+// matched entry's score from the record's score block, and stops at the
+// first id past the subject's last. Norm and liked count come from the
+// record header.
+//
+// For Metric::kWup the prepared subject is its nonzero-score entries: a
+// zero subject score adds +0 to both sums, so skipping those entries keeps
+// every score bit-identical to wup_similarity (for finite scores). The
+// other metrics prepare the full subject. Matches accumulate in ascending
+// id order with the operands of the pairwise merges, so every metric's
+// score equals similarity() on the decoded candidate bit for bit.
 //
 // Callers keep one scorer per thread and re-prepare it per selection, so
 // scoring allocates nothing once the buffers have grown. Counts
-// `similarity.candidates` and `similarity.entries_scanned` (candidate
-// entries presented to the scorer) when telemetry is on.
+// `similarity.candidates`, `similarity.entries_scanned` (candidate entries
+// presented to the scorer) and `similarity.entries_decoded` (candidate ids
+// decoded before the early exit) when telemetry is on.
 class SimilarityScorer {
  public:
-  // `subject` must outlive the scoring (non-WUP metrics read it per call).
   void prepare(Metric metric, const Profile& subject);
 
-  // similarity(metric, subject, candidate), bit for bit.
-  double score(const Profile& candidate) const;
-
-  // The two WUP kernel bodies behind score(), exposed so tests can check
-  // them against each other and against wup_similarity. wup_avx512
-  // requires avx512_available(); it runs the scalar body for prepared
-  // subjects of more than 16 entries.
-  double wup_scalar(const Profile& candidate) const;
-  double wup_avx512(const Profile& candidate) const;
-  static bool avx512_available();
+  // similarity(metric, subject, decoded candidate), bit for bit. A null
+  // candidate scores as the empty profile.
+  double score(const CompactProfile* candidate) const;
 
  private:
   Metric metric_ = Metric::kWup;
-  const Profile* subject_ = nullptr;
-  std::vector<ItemId> ids_;     // nonzero-score subject entries, ascending
+  std::vector<ItemId> ids_;  // prepared subject entries, ascending
   std::vector<double> scores_;
+  double norm_ = 0.0;        // full subject's norm and liked count
+  std::size_t liked_ = 0;
 };
 
 }  // namespace whatsup

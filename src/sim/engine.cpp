@@ -109,6 +109,12 @@ struct EngineMetrics {
 
 }  // namespace
 
+std::size_t LinkChains::resident_bytes() const {
+  std::size_t bytes = 0;
+  for (const std::vector<LinkState>& row : rows_) bytes += row.capacity() * sizeof(LinkState);
+  return bytes;
+}
+
 bool LinkChains::advance(NodeId from, NodeId to, Cycle now,
                          const net::BurstLossModel& burst, const Rng& root) {
   if (from >= rows_.size()) rows_.resize(static_cast<std::size_t>(from) + 1);
@@ -417,22 +423,6 @@ void Engine::ensure_shards() {
         begin, static_cast<NodeId>(begin + shard_nodes_), w));
   }
   for (auto& shard : shards_) shard->grow_window(w, now_);
-  // Size the thread-local materialize caches to the deployment. The cache
-  // is direct-mapped on the version counter, and versions advance with
-  // EVERY profile mutation process-wide, so live generations land on
-  // effectively random slots: what governs the hit rate is the load factor
-  // (live generations / slots), not raw coverage. Live generations run
-  // several × node count (stale view entries pin old generations for tens
-  // of cycles), so budget 16 slots per node — a small run stops paying the
-  // million-node ceiling (~4 MB/thread) while staying at a low enough load
-  // that conflict misses stay off the scoring profile. Monotonic in the
-  // node count, hence identical across thread counts and partitionings —
-  // and a pure cache size either way, so it could never affect results.
-  if (!agents_.empty()) {
-    set_materialize_scratch_slots(std::clamp<std::size_t>(
-        16 * agents_.size(), kMinMaterializeScratchSlots,
-        kMaxMaterializeScratchSlots));
-  }
   // Link snapshot tables, sized from the total node count. Every fragment
   // sees the same count at the same point of the lockstep control plane
   // (between cycles), so a resize empties both ends of every link before
@@ -747,8 +737,7 @@ Engine::MemoryStats Engine::memory_stats() const {
   }
   const SnapshotArena::Stats arena = SnapshotArena::instance().stats();
   total.arena_bytes = arena.blobs.resident_bytes + arena.stamps.resident_bytes;
-  total.materialize_slots = materialize_scratch_slots();
-  total.materialize_bytes_per_thread = materialize_scratch_bytes_per_thread();
+  total.fault_bytes = link_chains_.resident_bytes();
   return total;
 }
 

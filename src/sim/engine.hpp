@@ -147,6 +147,8 @@ class LinkChains {
                                : std::span<const LinkState>();
   }
   void clear() { rows_.clear(); }
+  // Row storage held: every row's capacity in 8-byte chains.
+  std::size_t resident_bytes() const;
 
  private:
   std::vector<std::vector<LinkState>> rows_;
@@ -271,13 +273,10 @@ class Engine : public ParallelExecutor {
     std::size_t outbox_bytes = 0;    // per-shard outbox capacity
     std::size_t scratch_bytes = 0;   // delivery-batch scratch + link tables
     std::size_t arena_bytes = 0;     // snapshot-arena slab storage (process-wide)
-    // Materialize scratch: engine-chosen slot count and the per-thread
-    // resident cost it implies (profile/compact.hpp).
-    std::size_t materialize_slots = 0;
-    std::size_t materialize_bytes_per_thread = 0;
+    std::size_t fault_bytes = 0;     // burst-loss link-chain rows (LinkChains)
     std::size_t total() const {
       return mailbox_bytes + payload_bytes + outbox_bytes + scratch_bytes +
-             arena_bytes;
+             arena_bytes + fault_bytes;
     }
   };
   MemoryStats memory_stats() const;

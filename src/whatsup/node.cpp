@@ -277,7 +277,7 @@ void WhatsUpAgent::cold_start_from(sim::Context& ctx, const WhatsUpAgent& contac
   // how many view profiles LIKE each item, keep the top-k.
   std::unordered_map<ItemId, std::pair<int, Cycle>> popularity;
   for (const net::Descriptor& d : rps_.view().entries()) {
-    const Profile& p = d.profile_ref();
+    const Profile p = d.decoded_profile();
     for (std::size_t i = 0; i < p.size(); ++i) {
       if (p.scores()[i] > 0.5) {
         auto& [count, ts] = popularity[p.ids()[i]];

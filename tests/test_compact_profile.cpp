@@ -1,7 +1,7 @@
 // Property tests for the compact-profile storage layer: the varint/delta
-// codec underneath it, bit-exact encode/decode round trips, the
-// thread-local materialize scratch ring, and the global snapshot intern
-// table (refcounts, reuse, epoch purge, cross-thread isolation).
+// codec underneath it, the record layout and bit-exact encode/decode round
+// trips, decoded copies, and the global snapshot intern table (refcounts,
+// reuse, epoch purge, cross-thread isolation).
 //
 // The contract that everything else in this PR leans on: a Profile decoded
 // from its CompactProfile is indistinguishable — contents, version, cached
@@ -10,8 +10,10 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <algorithm>
 #include <bit>
 #include <cstdint>
+#include <cstring>
 #include <limits>
 #include <thread>
 #include <utility>
@@ -207,6 +209,44 @@ TEST(CompactProfile, NonFiniteAndNegativeScoresSurvive) {
   }
 }
 
+TEST(CompactProfile, LayoutIsScoresThenIdsThenTimestamps) {
+  // Id gaps of 64 and more and wide timestamps take multi-byte varints, so
+  // the sections are found by their offsets, not by fixed widths.
+  for (const bool binary : {true, false}) {
+    Profile p;
+    for (std::size_t i = 0; i < 21; ++i) {
+      p.set(1 + 97 * i + (i % 4) * 5000, static_cast<Cycle>(i * 300) - 2000,
+            binary ? static_cast<double>(i % 2) : 0.5 + static_cast<double>(i));
+    }
+    const ProfileHandle h = CompactProfile::encode(p);
+    const CompactProfile& c = *h.record();
+    EXPECT_EQ(c.binary_scores(), binary);
+    const std::size_t score_bytes = binary ? (p.size() + 7) / 8 : p.size() * sizeof(double);
+    ASSERT_EQ(c.id_deltas(), c.score_block() + score_bytes);
+    for (std::size_t i = 0; i < p.size(); ++i) {
+      double score = 0.0;
+      if (binary) {
+        score = (c.score_block()[i / 8] >> (i % 8)) & 1u ? 1.0 : 0.0;
+      } else {
+        std::memcpy(&score, c.score_block() + i * sizeof(double), sizeof(double));
+      }
+      EXPECT_EQ(std::bit_cast<std::uint64_t>(score),
+                std::bit_cast<std::uint64_t>(p.scores()[i]));
+    }
+    const std::uint8_t* at = c.id_deltas();
+    std::vector<std::uint64_t> ids(p.size());
+    delta_decode(at, ids.data(), ids.size());
+    EXPECT_TRUE(std::equal(ids.begin(), ids.end(), p.ids().begin()));
+    std::vector<std::uint64_t> stamps(p.size());
+    delta_decode(at, stamps.data(), stamps.size());
+    for (std::size_t i = 0; i < p.size(); ++i) {
+      EXPECT_EQ(static_cast<Cycle>(static_cast<std::int64_t>(stamps[i])), p.timestamps()[i]);
+    }
+    EXPECT_EQ(at, c.score_block() + c.encoded_bytes());  // nothing after the timestamps
+    expect_bit_identical(p, h.decode());
+  }
+}
+
 TEST(CompactProfile, NegativeTimestampsSurvive) {
   Profile p;
   p.set(5, -3, 1.0);
@@ -216,7 +256,7 @@ TEST(CompactProfile, NegativeTimestampsSurvive) {
   expect_bit_identical(p, decoded);
 }
 
-// ---- ProfileHandle + scratch ring -----------------------------------------
+// ---- ProfileHandle ---------------------------------------------------------
 
 TEST(ProfileHandle, NullVersusEmptyAreDistinct) {
   const ProfileHandle null_handle;
@@ -227,7 +267,7 @@ TEST(ProfileHandle, NullVersusEmptyAreDistinct) {
   EXPECT_TRUE(static_cast<bool>(empty));
   EXPECT_EQ(empty.size(), 0u);
   EXPECT_EQ(empty.version(), 0u);
-  EXPECT_TRUE(empty.materialize().empty());
+  EXPECT_TRUE(empty.decode().empty());
 }
 
 TEST(ProfileHandle, HandleIsFourBytesWide) {
@@ -236,12 +276,16 @@ TEST(ProfileHandle, HandleIsFourBytesWide) {
   EXPECT_EQ(sizeof(ProfileHandle), 4u);
 }
 
-TEST(ProfileHandle, ScratchCacheSurvivesInterleavedMaterializes) {
-  // Many live versions hammered in random order: whether a materialize()
-  // hits the thread-local decode cache or decodes fresh (including
-  // direct-mapped slot collisions), the returned reference must always
-  // match the snapshot taken.
-  Rng rng(31);
+TEST(ProfileHandle, DecodedCopiesHeldAtOnceAreAllExact) {
+  // An interned snapshot decodes bit-identically, and again on a second
+  // decode.
+  Rng rng(55);
+  const Profile p = random_profile(rng, 12, 80, false);
+  const ProfileHandle h = ProfileHandle::snapshot(p);
+  expect_bit_identical(p, h.decode());
+  expect_bit_identical(p, h.decode());
+  // Decoded copies are values: any number of them, of any generations and
+  // of the same one twice, stay exact while held together.
   std::vector<Profile> originals;
   std::vector<ProfileHandle> handles;
   for (int i = 0; i < 7; ++i) {
@@ -249,9 +293,12 @@ TEST(ProfileHandle, ScratchCacheSurvivesInterleavedMaterializes) {
     handles.push_back(ProfileHandle::snapshot(originals.back()));
   }
   for (int round = 0; round < 30; ++round) {
-    const std::size_t k = rng.index(handles.size());
-    const Profile& view = handles[k].materialize();
-    expect_bit_identical(originals[k], view);
+    const std::size_t a = rng.index(handles.size());
+    const std::size_t b = rng.index(handles.size());
+    const Profile first = handles[a].decode();
+    const Profile second = handles[b].decode();
+    expect_bit_identical(originals[a], first);
+    expect_bit_identical(originals[b], second);
   }
 }
 
@@ -262,7 +309,7 @@ TEST(ProfileHandle, SnapshotIsImmutableUnderSourceMutation) {
   const Profile before = p;
   p.set(2, 0, 1.0);
   p.set(3, 5, 0.0);
-  expect_bit_identical(before, h.materialize());
+  expect_bit_identical(before, h.decode());
 }
 
 // ---- SnapshotArena --------------------------------------------------------
@@ -317,8 +364,8 @@ TEST(SnapshotArena, EpochAdvanceEventuallySweepsEveryShard) {
 }
 
 TEST(SnapshotArena, ThreadedInternAndMaterializeStayIsolated) {
-  // Exercised under TSan in CI: concurrent snapshot/materialize across
-  // threads must neither race nor bleed scratch state between threads.
+  // Exercised under TSan in CI: concurrent snapshot/decode across threads
+  // must neither race nor hand one thread another generation's contents.
   constexpr int kThreads = 4;
   constexpr int kProfiles = 16;
   constexpr int kRounds = 200;
@@ -341,7 +388,7 @@ TEST(SnapshotArena, ThreadedInternAndMaterializeStayIsolated) {
         // shared record.
         const ProfileHandle h = ProfileHandle::snapshot(profiles[k]);
         if (h.record() != handles[k].record()) ++failures[t];
-        const Profile& view = h.materialize();
+        const Profile view = h.decode();
         if (!(view == profiles[k])) ++failures[t];
         if (view.version() != profiles[k].version()) ++failures[t];
       }
@@ -388,7 +435,7 @@ TEST(SnapshotArena, ThreadedSweepRacesInternCopyDrop) {
         h = copy;                      // re-retain through assignment
         // A sweep may have dropped the table entry between our intern and
         // now; the record we hold must stay valid and intact regardless.
-        if (!(copy.materialize() == profiles[k])) ++failures[t];
+        if (!(copy.decode() == profiles[k])) ++failures[t];
         if (moved.record() != copy.record()) ++failures[t];
       }  // all three handles drop here — possibly the last references
     });
@@ -524,7 +571,7 @@ TEST(SnapshotArena, ThreadedContentInternAndSweepConverge) {
       for (int round = 0; round < kRounds; ++round) {
         const std::size_t k = rng.index(kProfiles);
         const ProfileHandle h = arena.intern_by_content(profiles[k]);
-        if (!(h.materialize() == profiles[k])) ++failures[t];
+        if (!(h.decode() == profiles[k])) ++failures[t];
       }
     });
   }
@@ -575,7 +622,7 @@ TEST(DescriptorRef, StampRecordsShareTimestampAndBlobByRefcount) {
     EXPECT_TRUE(c.has_profile());
     EXPECT_EQ(c.profile_version(), p.version());
     EXPECT_EQ(c.profile_size(), p.size());
-    expect_bit_identical(p, c.materialize());
+    expect_bit_identical(p, c.decode());
     const auto during = SnapshotArena::instance().stats();
     EXPECT_EQ(during.stamps.live, before.stamps.live + 1);  // ONE record for 3 copies
   }
@@ -583,7 +630,26 @@ TEST(DescriptorRef, StampRecordsShareTimestampAndBlobByRefcount) {
   const auto after = SnapshotArena::instance().stats();
   EXPECT_EQ(after.stamps.live, before.stamps.live);
   // The blob outlives the stamps through our snapshot handle.
-  expect_bit_identical(p, snapshot.materialize());
+  expect_bit_identical(p, snapshot.decode());
+}
+
+TEST(DescriptorRef, SnapshotBorrowsTheBlobRecord) {
+  Profile p;
+  p.set(4, 2, 1.0);
+  p.set(90, 3, 0.0);
+  const ProfileHandle snapshot = ProfileHandle::snapshot(p);
+  const DescriptorRef ref = DescriptorRef::make(17, snapshot);
+  EXPECT_EQ(ref.snapshot(), snapshot.record());
+  EXPECT_EQ(ref.profile_version(), p.version());
+  // Bare addresses (inline and arena-stamped timestamps) and null refs
+  // carry no record and decode to the empty profile.
+  for (const DescriptorRef& bare : {DescriptorRef::make(5, ProfileHandle()),
+                                    DescriptorRef::make(kNoCycle + 1, ProfileHandle()),
+                                    DescriptorRef()}) {
+    EXPECT_EQ(bare.snapshot(), nullptr);
+    EXPECT_EQ(bare.profile_version(), 0u);
+    EXPECT_TRUE(bare.decode().empty());
+  }
 }
 
 TEST(DescriptorRef, MoveTransfersOwnershipWithoutTouchingRefcount) {
@@ -595,27 +661,6 @@ TEST(DescriptorRef, MoveTransfersOwnershipWithoutTouchingRefcount) {
   EXPECT_TRUE(a.is_null());
   EXPECT_EQ(b.timestamp(), 5);
   EXPECT_EQ(SnapshotArena::instance().stats().stamps.live, live_before);
-}
-
-// ---- materialize scratch sizing -------------------------------------------
-
-TEST(MaterializeScratch, EngineHintResizesWithinBounds) {
-  const std::size_t restore = materialize_scratch_slots();
-  set_materialize_scratch_slots(64);  // below floor: clamped up
-  EXPECT_EQ(materialize_scratch_slots(), kMinMaterializeScratchSlots);
-  set_materialize_scratch_slots(1 << 20);  // above ceiling: clamped down
-  EXPECT_EQ(materialize_scratch_slots(), kMaxMaterializeScratchSlots);
-  set_materialize_scratch_slots(3000);  // rounded up to a power of two
-  EXPECT_EQ(materialize_scratch_slots(), 4096u);
-  EXPECT_GT(materialize_scratch_bytes_per_thread(), 0u);
-  // Resizing mid-run only clears the cache: materialize stays correct.
-  Rng rng(55);
-  const Profile p = random_profile(rng, 12, 80, false);
-  const ProfileHandle h = ProfileHandle::snapshot(p);
-  expect_bit_identical(p, h.materialize());
-  set_materialize_scratch_slots(kMinMaterializeScratchSlots);
-  expect_bit_identical(p, h.materialize());
-  set_materialize_scratch_slots(restore);
 }
 
 }  // namespace

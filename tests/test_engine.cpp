@@ -108,6 +108,36 @@ TEST(Engine, PartialLossIsApproximatelyCalibrated) {
   EXPECT_NEAR(delivered / n, 0.7, 0.03);
 }
 
+// The fault layer's memory is attributed: no link-chain rows without
+// bursty loss, and after bursty traffic exactly the rows' capacities (each
+// mirrored by a vector given the same first uses), inside total().
+TEST(Engine, MemoryStatsCountLinkChainRows) {
+  Fixture plain;
+  for (NodeId to : {1, 2, 3}) plain.engine.send(news_message(0, to));
+  plain.engine.run_cycles(2);
+  EXPECT_EQ(plain.engine.memory_stats().fault_bytes, 0u);
+
+  Engine::Config config;
+  config.network.burst.p_enter = 0.2;
+  config.network.burst.p_exit = 0.5;
+  config.network.burst.loss_bad = 0.5;
+  Fixture bursty(config);
+  for (NodeId to : {1, 2, 3}) bursty.engine.send(news_message(0, to));
+  bursty.engine.send(news_message(1, 2));
+  bursty.engine.run_cycles(2);
+  std::vector<LinkChains::LinkState> row0, row1;
+  for (NodeId to : {1, 2, 3}) row0.insert(row0.end(), LinkChains::LinkState{to});
+  row1.insert(row1.end(), LinkChains::LinkState{2});
+  const Engine::MemoryStats stats = bursty.engine.memory_stats();
+  EXPECT_EQ(stats.fault_bytes, (row0.capacity() + row1.capacity()) * sizeof(LinkChains::LinkState));
+  EXPECT_EQ(stats.total(), stats.mailbox_bytes + stats.payload_bytes + stats.outbox_bytes +
+                               stats.scratch_bytes + stats.arena_bytes + stats.fault_bytes);
+
+  // Switching bursty loss off drops the rows.
+  bursty.engine.set_network(net::NetworkConfig{});
+  EXPECT_EQ(bursty.engine.memory_stats().fault_bytes, 0u);
+}
+
 TEST(Engine, InboxCapacityDropsOverflow) {
   Engine::Config config;
   config.network.inbox_capacity = 5;

@@ -13,6 +13,7 @@
 #include <sstream>
 #include <string>
 #include <thread>
+#include <tuple>
 #include <vector>
 
 #include "analysis/runner.hpp"
@@ -410,8 +411,9 @@ TEST(ObsDeterminism, DigestsBitIdenticalAcrossThreadsAndWidths) {
 }
 
 // The similarity work counters are exact: a pure function of the seed, so
-// two runs agree, and so do 1 and 4 worker threads (each worker counts the
-// selections of the nodes it runs into its own lane).
+// two runs agree, and so do 1, 2 and 4 worker threads (each worker counts
+// the selections of the nodes it runs into its own lane). The record
+// scorer decodes no more candidate ids than it is presented.
 TEST(ObsDeterminism, SimilarityCountersExactAcrossRunsAndThreads) {
   StatsGuard guard;
   const data::Workload workload = obs_workload();
@@ -422,13 +424,18 @@ TEST(ObsDeterminism, SimilarityCountersExactAcrossRunsAndThreads) {
     obs::Registry::instance().reset();
     const analysis::RunResult result = analysis::run_protocol(workload, config);
     obs::set_enabled(false);
-    return std::pair{result.stats.value("similarity.candidates"),
-                     result.stats.value("similarity.entries_scanned")};
+    return std::tuple{result.stats.value("similarity.candidates"),
+                      result.stats.value("similarity.entries_scanned"),
+                      result.stats.value("similarity.entries_decoded")};
   };
   const auto first = counts(1);
-  EXPECT_GT(first.first, 0u);
-  EXPECT_GT(first.second, first.first);
+  const auto [candidates, scanned, decoded] = first;
+  EXPECT_GT(candidates, 0u);
+  EXPECT_GT(scanned, candidates);
+  EXPECT_GT(decoded, 0u);
+  EXPECT_LE(decoded, scanned);
   EXPECT_EQ(counts(1), first);
+  EXPECT_EQ(counts(2), first);
   EXPECT_EQ(counts(4), first);
 }
 

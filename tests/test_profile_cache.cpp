@@ -142,12 +142,12 @@ TEST(SnapshotCache, ReusesSnapshotUntilVersionChanges) {
   const auto s1 = cache.get(p);
   const auto s2 = cache.get(p);
   EXPECT_EQ(s1.record(), s2.record());  // shared, not re-encoded
-  EXPECT_EQ(s1.materialize(), p);
+  EXPECT_EQ(s1.decode(), p);
   p.set(2, 0, 0.0);
   const auto s3 = cache.get(p);
   EXPECT_NE(s3.record(), s1.record());
-  EXPECT_EQ(s3.materialize(), p);
-  EXPECT_EQ(s1.materialize(),
+  EXPECT_EQ(s3.decode(), p);
+  EXPECT_EQ(s1.decode(),
             (([] { Profile q; q.set(1, 0, 1.0); return q; })()));  // immutable
 }
 

@@ -5,6 +5,8 @@
 #include <algorithm>
 #include <numeric>
 #include <set>
+#include <utility>
+#include <vector>
 
 namespace whatsup {
 namespace {
@@ -131,6 +133,55 @@ TEST(Rng, SampleIndicesUniformCoverage) {
     for (std::size_t i : rng.sample_indices(10, 2)) counts[i]++;
   }
   for (int c : counts) EXPECT_NEAR(c, 4000, 400);
+}
+
+// A filled buffer carries the draws the returned vector does, in both
+// regimes (Floyd for k <= n / 4, partial shuffle above), and leaves the
+// generator in the same state; a reused buffer's old contents and
+// capacity do not leak into the next sample.
+TEST(Rng, SampleIndicesIntoBufferMatchesReturnedVector) {
+  std::vector<std::size_t> buffer(300, 7);
+  for (const auto& [n, k] : std::vector<std::pair<std::size_t, std::size_t>>{
+           {100, 3}, {100, 25}, {100, 26}, {100, 100}, {20, 50}, {9, 0}, {0, 4}, {200, 40}, {12, 5}}) {
+    for (std::uint64_t seed = 1; seed <= 20; ++seed) {
+      Rng returned(seed), filled(seed);
+      const std::vector<std::size_t> expected = returned.sample_indices(n, k);
+      filled.sample_indices(n, k, buffer);
+      ASSERT_EQ(buffer, expected) << "n=" << n << " k=" << k << " seed=" << seed;
+      EXPECT_EQ(filled.next_u64(), returned.next_u64());
+    }
+  }
+}
+
+// Both regimes keep the draws of the original algorithm: Floyd's with a
+// collision fallback to j, and a partial Fisher–Yates over [0, n).
+TEST(Rng, SampleIndicesKeepsTheOriginalDraws) {
+  const auto reference = [](Rng& rng, std::size_t n, std::size_t k) {
+    k = std::min(k, n);
+    std::vector<std::size_t> out;
+    if (k == 0) return out;
+    if (k * 4 <= n) {
+      for (std::size_t j = n - k; j < n; ++j) {
+        std::size_t t = rng.index(j + 1);
+        if (std::find(out.begin(), out.end(), t) != out.end()) t = j;
+        out.push_back(t);
+      }
+      return out;
+    }
+    std::vector<std::size_t> all(n);
+    std::iota(all.begin(), all.end(), std::size_t{0});
+    for (std::size_t i = 0; i < k; ++i) std::swap(all[i], all[i + rng.index(n - i)]);
+    all.resize(k);
+    return all;
+  };
+  std::vector<std::size_t> buffer;
+  for (std::size_t n : {1, 4, 10, 37, 150}) {
+    for (std::size_t k = 0; k <= n + 1; ++k) {
+      Rng a(n * 1000 + k), b(n * 1000 + k);
+      b.sample_indices(n, k, buffer);
+      ASSERT_EQ(buffer, reference(a, n, k)) << "n=" << n << " k=" << k;
+    }
+  }
 }
 
 TEST(Rng, ShuffleIsPermutation) {

@@ -8,6 +8,8 @@
 #include <vector>
 
 #include "common/rng.hpp"
+#include "obs/registry.hpp"
+#include "profile/compact.hpp"
 
 namespace whatsup {
 namespace {
@@ -167,12 +169,12 @@ INSTANTIATE_TEST_SUITE_P(AllMetrics, MetricProperty,
                                            Metric::kPearson),
                          [](const auto& info) { return to_string(info.param); });
 
-// --- Prepared-subject kernel (SimilarityScorer) ------------------------------
+// --- Record scorer (SimilarityScorer) --------------------------------------
 //
-// Both WUP kernel bodies — scalar and AVX-512 — must agree bit for bit with
-// the pairwise reference merge wup_similarity, and score() with
-// similarity() for every metric: the selections they feed are part of every
-// fixed-seed trajectory.
+// The scorer reads candidates straight from their compact records; for
+// every metric it must agree bit for bit with the pairwise reference merge
+// similarity() on the profile the record was encoded from: the selections
+// it feeds are part of every fixed-seed trajectory.
 
 // `n` distinct ids drawn from [1, universe] with scores picked by `score`.
 template <typename ScoreFn>
@@ -186,10 +188,12 @@ double binary(Rng& rng) { return rng.bernoulli(0.5) ? 1.0 : 0.0; }
 double liked_only(Rng&) { return 1.0; }
 double real(Rng& rng) { return rng.bernoulli(0.2) ? 0.0 : rng.uniform(); }
 
-// Subjects and candidates covering the kernels' edge cases: empty,
-// disjoint, all ids shared, every length 1..40 (block tails that are not a
-// multiple of 8), more than 16 liked subject entries, real-valued scores and
-// zero-score entries.
+// Subjects and candidates covering the kernel's edge cases: empty,
+// disjoint, all ids shared, every length 1..40 (more than 16 prepared
+// subject entries), binary and real-valued scores, zero-score entries, id
+// gaps of 64 and more (multi-byte varints), and profiles whose ids all lie
+// above or below the others' (the early exit, and a full walk that
+// matches nothing).
 std::vector<Profile> kernel_corpus() {
   Rng rng(2024);
   std::vector<Profile> corpus;
@@ -199,63 +203,86 @@ std::vector<Profile> kernel_corpus() {
     corpus.push_back(drawn(rng, n, 60, binary));
     corpus.push_back(drawn(rng, n, 60, liked_only));
     corpus.push_back(drawn(rng, n, 60, real));
-    corpus.push_back(drawn(rng, n, 400, binary));  // mostly disjoint
+    corpus.push_back(drawn(rng, n, 400, binary));   // mostly disjoint
+    corpus.push_back(drawn(rng, n, 20000, real));   // gaps >= 64 throughout
   }
-  Profile shared, shared_disliked, far;
+  Profile shared, shared_disliked, far, low, wide;
   for (ItemId id = 1; id <= 40; ++id) {
     shared.set(id, 0, 1.0);
     shared_disliked.set(id, 0, id % 3 == 0 ? 0.0 : 1.0);
-    far.set(id + 1000, 0, 1.0);                 // disjoint from all of the above
+    far.set(id + 1000, 0, 1.0);                 // above every id drawn from [1, 400]
+    wide.set(id * 64 + (id % 5) * 9000, 0, id % 2 == 0 ? 1.0 : 0.25);
   }
+  low.set(1, 0, 1.0);                           // below everything else
+  low.set(2, 0, 0.0);
   corpus.push_back(shared);
   corpus.push_back(shared_disliked);
   corpus.push_back(far);
+  corpus.push_back(low);
+  corpus.push_back(wide);
   return corpus;
 }
 
 std::uint64_t bits(double x) { return std::bit_cast<std::uint64_t>(x); }
 
-TEST(SimilarityScorer, ScalarKernelMatchesPairwiseMergeBitForBit) {
-  const std::vector<Profile> corpus = kernel_corpus();
-  SimilarityScorer scorer;
-  for (std::size_t a = 0; a < corpus.size(); ++a) {
-    scorer.prepare(Metric::kWup, corpus[a]);
-    for (std::size_t b = 0; b < corpus.size(); ++b) {
-      ASSERT_EQ(bits(scorer.wup_scalar(corpus[b])),
-                bits(wup_similarity(corpus[a], corpus[b])))
-          << "subject " << a << ", candidate " << b;
-    }
-  }
-}
+constexpr Metric kAllMetrics[] = {Metric::kWup, Metric::kCosine, Metric::kJaccard,
+                                  Metric::kOverlap, Metric::kPearson};
 
-TEST(SimilarityScorer, Avx512KernelMatchesPairwiseMergeBitForBit) {
-  if (!SimilarityScorer::avx512_available()) GTEST_SKIP() << "no AVX-512F";
+TEST(SimilarityScorer, RecordScoreMatchesPairwiseSimilarityForEveryMetric) {
   const std::vector<Profile> corpus = kernel_corpus();
+  std::vector<ProfileHandle> records;
+  for (const Profile& p : corpus) records.push_back(CompactProfile::encode(p));
   SimilarityScorer scorer;
-  for (std::size_t a = 0; a < corpus.size(); ++a) {
-    scorer.prepare(Metric::kWup, corpus[a]);
-    for (std::size_t b = 0; b < corpus.size(); ++b) {
-      ASSERT_EQ(bits(scorer.wup_avx512(corpus[b])),
-                bits(wup_similarity(corpus[a], corpus[b])))
-          << "subject " << a << ", candidate " << b;
-    }
-  }
-}
-
-TEST(SimilarityScorer, ScoreMatchesSimilarityForEveryMetric) {
-  const std::vector<Profile> corpus = kernel_corpus();
-  SimilarityScorer scorer;
-  for (Metric metric : {Metric::kWup, Metric::kCosine, Metric::kJaccard,
-                        Metric::kOverlap, Metric::kPearson}) {
-    for (std::size_t a = 0; a < corpus.size(); a += 3) {
+  for (Metric metric : kAllMetrics) {
+    for (std::size_t a = 0; a < corpus.size(); ++a) {
       scorer.prepare(metric, corpus[a]);
       for (std::size_t b = 0; b < corpus.size(); ++b) {
-        ASSERT_EQ(bits(scorer.score(corpus[b])),
+        ASSERT_EQ(bits(scorer.score(records[b].record())),
                   bits(similarity(metric, corpus[a], corpus[b])))
             << to_string(metric) << ": subject " << a << ", candidate " << b;
       }
     }
   }
+}
+
+TEST(SimilarityScorer, NullCandidateScoresAsEmptyProfile) {
+  const std::vector<Profile> corpus = kernel_corpus();
+  SimilarityScorer scorer;
+  for (Metric metric : kAllMetrics) {
+    for (const Profile& subject : corpus) {
+      scorer.prepare(metric, subject);
+      ASSERT_EQ(bits(scorer.score(nullptr)), bits(similarity(metric, subject, Profile{})))
+          << to_string(metric);
+    }
+  }
+}
+
+TEST(SimilarityScorer, DecodesCandidateIdsOnlyUpToTheSubjectsLast) {
+  struct StatsOff {
+    ~StatsOff() { obs::set_enabled(false); }
+  } guard;
+  const auto decoded_by = [](const Profile& subject, const Profile& candidate) {
+    obs::Registry::instance().reset();
+    obs::set_enabled(true);
+    SimilarityScorer scorer;
+    scorer.prepare(Metric::kWup, subject);
+    const ProfileHandle record = CompactProfile::encode(candidate);
+    scorer.score(record.record());
+    obs::set_enabled(false);
+    std::uint64_t scanned = 0, decoded = 0;
+    for (const obs::MetricValue& m : obs::Registry::instance().merge()) {
+      if (m.name == "similarity.entries_scanned") scanned = m.value;
+      if (m.name == "similarity.entries_decoded") decoded = m.value;
+    }
+    EXPECT_EQ(scanned, candidate.size());
+    return decoded;
+  };
+  const Profile candidate = liked({3, 5, 70, 200, 9000});
+  EXPECT_EQ(decoded_by(liked({1}), candidate), 1u);     // first id is already past
+  EXPECT_EQ(decoded_by(liked({5}), candidate), 3u);     // 3, 5, then 70 > 5
+  EXPECT_EQ(decoded_by(liked({70}, {9000}), candidate), 4u);  // 9000 scores 0: not prepared
+  EXPECT_EQ(decoded_by(liked({9000}), candidate), 5u);  // the whole record
+  EXPECT_EQ(decoded_by(liked({}, {4}), candidate), 0u);  // nothing prepared
 }
 
 TEST(MetricNames, RoundTrip) {

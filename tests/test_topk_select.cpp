@@ -31,7 +31,7 @@ std::vector<net::Descriptor> seed_assign_closest(std::vector<net::Descriptor> ca
   std::vector<std::pair<double, std::size_t>> scored;
   scored.reserve(candidates.size());
   for (std::size_t i = 0; i < candidates.size(); ++i) {
-    scored.emplace_back(similarity(metric, own_profile, candidates[i].profile_ref()), i);
+    scored.emplace_back(similarity(metric, own_profile, candidates[i].decoded_profile()), i);
   }
   std::stable_sort(scored.begin(), scored.end(),
                    [](const auto& a, const auto& b) { return a.first > b.first; });

@@ -317,7 +317,7 @@ class SnapshotGossipAgent final : public Agent {
   std::uint64_t fold(NodeId from, const net::Descriptor& d) const {
     std::uint64_t h = hash_combine(hash_combine(self_, from), d.node);
     h = hash_combine(h, static_cast<std::uint64_t>(d.timestamp()));
-    const Profile& p = d.profile_ref();
+    const Profile p = d.decoded_profile();
     for (std::size_t i = 0; i < p.size(); ++i) {
       h = hash_combine(h, p.ids()[i]);
       h = hash_combine(h, static_cast<std::uint64_t>(p.timestamps()[i]));

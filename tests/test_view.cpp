@@ -45,10 +45,10 @@ TEST(View, RefreshKeepsFreshest) {
   view.insert_or_refresh(desc(1, 5, {8}));  // stale: ignored
   EXPECT_EQ(view.size(), 1u);
   EXPECT_EQ(view.find(1)->timestamp(), 10);
-  EXPECT_TRUE(view.find(1)->profile_ref().contains(7));
+  EXPECT_TRUE(view.find(1)->decoded_profile().contains(7));
   view.insert_or_refresh(desc(1, 30, {9}));  // fresher: replaces
   EXPECT_EQ(view.find(1)->timestamp(), 30);
-  EXPECT_TRUE(view.find(1)->profile_ref().contains(9));
+  EXPECT_TRUE(view.find(1)->decoded_profile().contains(9));
 }
 
 // Regression: a fresher descriptor with a NULL profile snapshot used to
@@ -62,11 +62,11 @@ TEST(View, RefreshWithNullSnapshotKeepsKnownProfile) {
   ASSERT_NE(view.find(1), nullptr);
   EXPECT_EQ(view.find(1)->timestamp(), 20);          // timestamp refreshed
   ASSERT_TRUE(view.find(1)->has_profile());        // snapshot retained
-  EXPECT_TRUE(view.find(1)->profile_ref().contains(7));
+  EXPECT_TRUE(view.find(1)->decoded_profile().contains(7));
   // A fresher descriptor WITH a snapshot still replaces normally.
   view.insert_or_refresh(desc(1, 30, {9}));
-  EXPECT_TRUE(view.find(1)->profile_ref().contains(9));
-  EXPECT_FALSE(view.find(1)->profile_ref().contains(7));
+  EXPECT_TRUE(view.find(1)->decoded_profile().contains(9));
+  EXPECT_FALSE(view.find(1)->decoded_profile().contains(7));
 }
 
 TEST(View, StaleNullSnapshotRefreshStillIgnored) {
@@ -74,7 +74,7 @@ TEST(View, StaleNullSnapshotRefreshStillIgnored) {
   view.insert_or_refresh(desc(1, 10, {7}));
   view.insert_or_refresh(net::Descriptor{1, 5, nullptr});  // stale: ignored
   EXPECT_EQ(view.find(1)->timestamp(), 10);
-  EXPECT_TRUE(view.find(1)->profile_ref().contains(7));
+  EXPECT_TRUE(view.find(1)->decoded_profile().contains(7));
 }
 
 TEST(View, OldestFindsMinTimestamp) {

@@ -125,7 +125,7 @@ TEST(Wire, DescriptorRoundTripNullAndSnapshot) {
     EXPECT_EQ(out.node, 7u);
     EXPECT_EQ(out.timestamp(), 12);
     ASSERT_TRUE(out.has_profile());
-    EXPECT_EQ(out.profile_ref(), p);
+    EXPECT_EQ(out.decoded_profile(), p);
   }
   // Empty-but-present snapshot stays distinct from the null handle.
   {
@@ -173,7 +173,9 @@ TEST(Wire, PackedDescriptorCorpusRoundTrip) {
     EXPECT_EQ(out.node, c.node);
     EXPECT_EQ(out.timestamp(), c.ts);
     EXPECT_EQ(out.has_profile(), c.with_profile);
-    if (c.with_profile) EXPECT_EQ(out.profile_ref(), snap);
+    if (c.with_profile) {
+      EXPECT_EQ(out.decoded_profile(), snap);
+    }
   }
 }
 
@@ -219,7 +221,7 @@ void expect_view_equal(const ViewPayload& a, const ViewPayload& b) {
     EXPECT_EQ(a.view[i].timestamp(), b.view[i].timestamp());
     EXPECT_EQ(a.view[i].has_profile(), b.view[i].has_profile());
     if (a.view[i].has_profile()) {
-      EXPECT_EQ(a.view[i].profile_ref(), b.view[i].profile_ref());
+      EXPECT_EQ(a.view[i].decoded_profile(), b.view[i].decoded_profile());
     }
   }
 }
@@ -542,7 +544,7 @@ TEST(WireLink, FirstShipIsFullSecondIsReference) {
   EXPECT_EQ(a.profile(), b.profile());
   EXPECT_EQ(b.node, 7u);
   EXPECT_EQ(b.timestamp(), 12);
-  EXPECT_EQ(b.profile_ref(), wide_binary_profile());
+  EXPECT_EQ(b.decoded_profile(), wide_binary_profile());
   // Another link starts cold: its first crossing ships in full again.
   Link other;
   std::vector<std::uint8_t> third;
@@ -571,10 +573,10 @@ TEST(WireLink, ReusedBlobIndexWithNewVersionShipsFull) {
   Descriptor out;
   WireReader ra(first.data(), first.size());
   ASSERT_TRUE(decode_descriptor(ra, out, link.rx));
-  EXPECT_EQ(out.profile_ref(), binary_profile());
+  EXPECT_EQ(out.decoded_profile(), binary_profile());
   WireReader rb(second.data(), second.size());
   ASSERT_TRUE(decode_descriptor(rb, out, link.rx));
-  EXPECT_EQ(out.profile_ref(), real_profile());
+  EXPECT_EQ(out.decoded_profile(), real_profile());
 }
 
 // A hand-built descriptor: one-byte node and timestamp, then `tag`,
@@ -642,7 +644,7 @@ TEST(WireLink, VersionMismatchIsRejected) {
   std::vector<std::uint8_t> ok = descriptor_bytes(kTagRef, slot, version);
   WireReader r(ok.data(), ok.size());
   ASSERT_TRUE(decode_descriptor(r, out, link.rx));
-  EXPECT_EQ(out.profile_ref(), binary_profile());
+  EXPECT_EQ(out.decoded_profile(), binary_profile());
 }
 
 // Every strict prefix of a batch whose second envelope rides references is
@@ -747,7 +749,7 @@ TEST(WireLink, RandomCorpusThroughCollidingTableDecodesIdentically) {
       EXPECT_EQ(due, batch);
       expect_view_equal(out.view(), in.view());
       EXPECT_EQ(out.view().sender.has_profile(), in.view().sender.has_profile());
-      EXPECT_EQ(out.view().sender.profile_ref(), in.view().sender.profile_ref());
+      EXPECT_EQ(out.view().sender.decoded_profile(), in.view().sender.decoded_profile());
     }
     EXPECT_EQ(r.remaining(), 0u);
   }
