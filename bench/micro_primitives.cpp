@@ -1,8 +1,8 @@
 // Microbenchmarks of the hot kernels in the WhatsUp stack: similarity
 // computation (the WUP clustering inner loop), view merges, item-profile
 // aggregation, the engine's route + deliver message path, the fault
-// layer's link-chain and dedup-log state, the wire codec of the fragment
-// exchange, and the SCC analysis used by Fig. 4.
+// layer's link-chain state, the wire codec of the fragment exchange, and
+// the SCC analysis used by Fig. 4.
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
@@ -20,15 +20,14 @@
 #include "graph/generators.hpp"
 #include "graph/scc.hpp"
 #include "net/wire.hpp"
-#include "profile/item_profile.hpp"
 #include "profile/similarity.hpp"
 #include "profile/snapshot.hpp"
 #include "sim/engine.hpp"
-#include "sim/reliability.hpp"
+#include "whatsup/node.hpp"
 
 // Global operator-new hook counting heap allocations, so the payload
-// benchmarks can report `allocs_per_op` — the number the CoW + SBO work
-// is meant to drive to zero on the news fan-out path. Bench binary only;
+// benchmarks can report `allocs_per_op` — the number shared records and
+// SBO are meant to drive to zero on the news fan-out path. Bench binary only;
 // the library itself is untouched.
 namespace {
 std::atomic<std::uint64_t> g_alloc_count{0};
@@ -223,10 +222,10 @@ BENCHMARK(BM_CompactDecode)->Arg(16)->Arg(64)->Arg(256);
 
 // ---- News payload replication (BEEP fan-out, §III) ------------------------
 //
-// Forwarding a liked item replicates the payload fLIKE times. Pre-PR the
-// item profile was held by value (one deep copy per target); the shipped
-// ItemProfileRef shares it copy-on-write (one refcount bump per target).
-// `allocs_per_op` counts heap allocations per replicated fan-out.
+// Forwarding a liked item replicates the payload fLIKE times. The item
+// profile was once held by value (one deep copy per target); the shipped
+// payload holds a handle to one immutable record (one refcount bump per
+// target). `allocs_per_op` counts heap allocations per replicated fan-out.
 
 constexpr int kNewsFanout = 10;  // the paper's fLIKE
 
@@ -250,11 +249,11 @@ void BM_NewsPayloadReplicateByValue(benchmark::State& state) {
 BENCHMARK(BM_NewsPayloadReplicateByValue)->Arg(8)->Arg(64)->Arg(256);
 
 // Shipped path: fLIKE copies of the payload bump one shared refcount.
-void BM_NewsPayloadReplicateCoW(benchmark::State& state) {
+void BM_NewsPayloadReplicateRecord(benchmark::State& state) {
   Rng rng(9);
   const auto size = static_cast<std::size_t>(state.range(0));
   net::NewsPayload news;
-  news.item_profile = random_profile(rng, size, 4 * size);
+  news.item_profile = item_record(random_profile(rng, size, 4 * size));
   const std::uint64_t before = allocs_now();
   for (auto _ : state) {
     for (int i = 0; i < kNewsFanout; ++i) {
@@ -267,23 +266,24 @@ void BM_NewsPayloadReplicateCoW(benchmark::State& state) {
       static_cast<double>(state.iterations()));
   state.SetItemsProcessed(state.iterations() * kNewsFanout);
 }
-BENCHMARK(BM_NewsPayloadReplicateCoW)->Arg(8)->Arg(64)->Arg(256);
+BENCHMARK(BM_NewsPayloadReplicateRecord)->Arg(8)->Arg(64)->Arg(256);
 
-// One full BEEP hop on the shipped path: receive a payload that still
-// shares its profile with the sender's copy, fold the user profile into
-// it (the one CoW clone), run the no-op window purge, then replicate to
-// the fan-out. This is the per-delivery cost handle_news + forward pay.
+// One full BEEP like hop on the shipped path: receive a payload that
+// shares its record with the sender's copy, fold the user profile into it,
+// record the like and run a window purge that drops nothing (one decode,
+// one record written), then replicate to the fan-out. This is the
+// per-delivery cost handle_news + forward pay.
 void BM_NewsHopForward(benchmark::State& state) {
   Rng rng(10);
   const auto size = static_cast<std::size_t>(state.range(0));
-  const Profile user = random_profile(rng, size, 4 * size);
+  Profile user = random_profile(rng, size, 4 * size);
   net::NewsPayload incoming;
-  incoming.item_profile = random_profile(rng, size, 4 * size);
+  incoming.item_profile = item_record(random_profile(rng, size, 4 * size));
+  incoming.id = 1;  // already in `user` after the first hop: no insert
   const std::uint64_t before = allocs_now();
   for (auto _ : state) {
-    net::NewsPayload news = incoming;        // delivery copy (shared)
-    news.item_profile.fold_profile(user);    // CoW clone, then in-place
-    news.item_profile.purge_older_than(0);   // no-op purge: no clone
+    net::NewsPayload news = incoming;  // delivery copy (shared)
+    like_item(news.item_profile, user, news.id, /*created=*/0, /*cutoff=*/0);
     for (int i = 0; i < kNewsFanout; ++i) {
       net::NewsPayload copy = news;          // fan-out: refcount bumps
       benchmark::DoNotOptimize(copy);
@@ -410,32 +410,6 @@ void BM_LinkChainLookup(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_LinkChainLookup)->Arg(32)->Arg(450);
-
-// One news receipt classified by a full DedupLog (default capacity 1024):
-// a stream over 1024 items x 2 hops, so about half the receipts repeat a
-// key still in the log and the rest evict the oldest key, as on
-// faults-500. `allocs_per_op` must read 0 once the log is full.
-void BM_DedupLogInsert(benchmark::State& state) {
-  Rng rng(9);
-  std::vector<std::pair<ItemId, int>> stream(1 << 14);
-  for (auto& [item, hop] : stream) {
-    item = 0x9e3779b97f4a7c15ULL * (rng.index(1024) + 1);
-    hop = static_cast<int>(rng.index(2));
-  }
-  sim::DedupLog log(1024);
-  for (const auto& [item, hop] : stream) log.seen_or_insert(item, hop);  // fill
-  std::size_t next = 0;
-  const std::uint64_t before = allocs_now();
-  for (auto _ : state) {
-    const auto& [item, hop] = stream[next];
-    next = (next + 1) & (stream.size() - 1);
-    benchmark::DoNotOptimize(log.seen_or_insert(item, hop));
-  }
-  state.counters["allocs_per_op"] = benchmark::Counter(
-      static_cast<double>(allocs_now() - before) /
-      static_cast<double>(state.iterations()));
-}
-BENCHMARK(BM_DedupLogInsert);
 
 // ---- Wire codec (net/wire.hpp) ---------------------------------------------
 //

@@ -69,7 +69,7 @@ void CfAgent::forward_to_neighbors(sim::Context& ctx, net::NewsPayload news) {
   news.hops += 1;
   news.via_dislike = false;
   // CF messages do not carry item profiles (no orientation mechanism).
-  news.item_profile.clear();
+  news.item_profile = nullptr;
   for (NodeId target : targets) {
     ctx.send(target, net::MsgType::kNews, news);
   }

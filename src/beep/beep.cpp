@@ -4,7 +4,7 @@
 
 namespace whatsup::beep {
 
-NodeId select_most_similar(const gossip::View& view, const Profile& item_profile,
+NodeId select_most_similar(const gossip::View& view, const CompactProfile* item_profile,
                            Metric metric, Rng& rng,
                            std::span<const NodeId> excluded) {
   // One scorer per thread: the item profile is prepared once per pick.
@@ -49,7 +49,7 @@ ForwardPlan plan_forward(Rng& rng, const BeepConfig& config, bool liked,
       // its historical semantics (duplicates discarded, not redrawn).
       const NodeId target =
           config.orientation
-              ? select_most_similar(rps_view, news.item_profile, config.metric,
+              ? select_most_similar(rps_view, news.item_profile.record(), config.metric,
                                     rng, plan.targets)
               : rps_view.random_member(rng);
       if (target == kNoNode) break;

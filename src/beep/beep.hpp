@@ -49,10 +49,11 @@ ForwardPlan plan_forward(Rng& rng, const BeepConfig& config, bool liked,
 
 // The orientation primitive (selectMostSimilarNode, Alg. 2 line 27):
 // the view member whose profile maximizes similarity(item profile, member).
+// The item profile is the news payload's record (null: the empty profile).
 // Members listed in `excluded` are skipped — plan_forward passes the
 // targets it already picked, so an f_dislike > 1 plan orients each copy
 // towards a DISTINCT node instead of re-selecting the same best match.
-NodeId select_most_similar(const gossip::View& view, const Profile& item_profile,
+NodeId select_most_similar(const gossip::View& view, const CompactProfile* item_profile,
                            Metric metric, Rng& rng,
                            std::span<const NodeId> excluded = {});
 

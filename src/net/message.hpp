@@ -10,7 +10,6 @@
 
 #include "common/ids.hpp"
 #include "profile/compact.hpp"
-#include "profile/item_profile.hpp"
 #include "profile/profile.hpp"
 
 namespace whatsup::net {
@@ -103,12 +102,12 @@ struct ViewPayload {
 // `via_dislike` are measurement-only fields (not part of the wire format
 // proper; they stand in for the tracing the authors instrumented).
 //
-// The item profile is held by copy-on-write reference: replicating the
-// payload for a fan-out of fLIKE targets bumps a refcount fLIKE times
-// instead of deep-copying the profile, and receivers that fold their user
-// profile into it (Alg. 1) clone it only while it is still shared with
-// other in-flight copies. SizeModel keeps charging the LOGICAL wire size
-// of the full profile per message (profile/item_profile.hpp).
+// The item profile is a handle to an immutable detached arena record
+// (null: the empty profile; see like_item in whatsup/node.hpp):
+// replicating the payload for a fan-out of fLIKE targets bumps a refcount
+// fLIKE times, and a receiver whose hop changes the profile writes a new
+// record. SizeModel keeps charging the LOGICAL wire size of the full
+// profile per message, read from the record header.
 //
 // Field order is packed (8-byte members first) and the measurement tail is
 // narrowed to its actual ranges, which keeps the payload at 32 bytes —
@@ -120,7 +119,7 @@ struct ViewPayload {
 // (the wire decoder rejects out-of-range values rather than truncating).
 struct NewsPayload {
   ItemId id = 0;
-  ItemProfileRef item_profile;
+  ProfileHandle item_profile;
   ItemIdx index = kNoItem;
   Cycle created = 0;
   NodeId origin = kNoNode;
@@ -132,7 +131,7 @@ struct NewsPayload {
 // Payload of a reliability-layer acknowledgment: the receiver confirms one
 // news copy back to its immediate forwarder, which clears the matching
 // (item, target) entry from the sender's retransmission queue. `hop`
-// echoes the acknowledged copy's hop count (the dedup-log key).
+// echoes the acknowledged copy's hop count.
 struct AckPayload {
   ItemId item = 0;
   int hop = 0;

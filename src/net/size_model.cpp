@@ -27,9 +27,9 @@ std::size_t SizeModel::bytes(const Message& m) const {
       const NewsPayload& news = m.news();
       size += news_base + news_meta;
       // Charged at the LOGICAL size of the item profile: in-memory payload
-      // copies share the profile copy-on-write (ItemProfileRef), but a real
-      // deployment serializes the full profile into every datagram, so the
-      // Fig. 8b bandwidth split is unaffected by the sharing.
+      // copies share one record (its header holds the entry count), but a
+      // real deployment serializes the full profile into every datagram,
+      // so the Fig. 8b bandwidth split is unaffected by the sharing.
       size += item_profile_entry * news.item_profile.size();
       break;
     }

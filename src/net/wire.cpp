@@ -309,7 +309,7 @@ void encode_news_payload(std::vector<std::uint8_t>& out, const NewsPayload& n) {
   wire_zigzag(out, n.dislikes);
   wire_zigzag(out, n.hops);
   wire_u8(out, n.via_dislike ? 1 : 0);
-  encode_profile(out, n.item_profile.get());
+  encode_profile(out, n.item_profile.decode());
 }
 
 bool decode_news_payload(WireReader& r, NewsPayload& out) {
@@ -334,8 +334,7 @@ bool decode_news_payload(WireReader& r, NewsPayload& out) {
   out.via_dislike = via != 0;
   Profile p;
   if (!decode_profile(r, p)) return false;
-  out.item_profile.clear();
-  if (!p.empty()) out.item_profile = std::move(p);
+  out.item_profile = item_record(p);
   return true;
 }
 

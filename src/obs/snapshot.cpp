@@ -104,6 +104,8 @@ void Snapshot::absorb_arena() {
   set_gauge("arena.intern_hits", a.reused);
   set_gauge("arena.purged", a.purged);
   set_gauge("arena.blob_resident_bytes", a.blobs.resident_bytes, "bytes");
+  set_gauge("arena.item_resident_bytes", a.items.resident_bytes, "bytes");
+  set_gauge("arena.spill_bytes", a.spill_bytes, "bytes");
   set_gauge("arena.stamp_resident_bytes", a.stamps.resident_bytes, "bytes");
 }
 

@@ -1,5 +1,6 @@
 #include "profile/compact.hpp"
 
+#include <algorithm>
 #include <bit>
 #include <cstring>
 #include <vector>
@@ -44,6 +45,8 @@ void CompactProfile::init_from(const Profile& profile) {
   const std::span<const double> scores = profile.scores();
   const bool binary = all_binary(scores);
   flags_ = binary ? kBinaryScores : 0;
+  oldest_ = kNoOldest;
+  for (const Cycle t : timestamps) oldest_ = std::min(oldest_, t);
 
   WideArray wide;
   wide.resize(n);
@@ -51,10 +54,17 @@ void CompactProfile::init_from(const Profile& profile) {
     wide[i] = static_cast<std::uint64_t>(static_cast<std::int64_t>(timestamps[i]));
   }
 
-  SmallVector<std::uint8_t, kInlineBytes>& out = bytes_;
+  // The exact size is known up front, so the bytes are written through a
+  // raw cursor: no capacity check per byte (a like hop encodes a
+  // real-valued item profile, ~10 bytes per entry).
+  struct Cursor {
+    std::uint8_t* p;
+    void push_back(std::uint8_t byte) { *p++ = byte; }
+  };
   const std::size_t score_bytes = binary ? (n + 7) / 8 : n * sizeof(double);
-  out.reserve(score_bytes + delta_encoded_size(ids.data(), n) +
-              delta_encoded_size(wide.data(), n));
+  bytes_.resize(score_bytes + delta_encoded_size(ids.data(), n) +
+                delta_encoded_size(wide.data(), n));
+  Cursor out{bytes_.data()};
   if (binary) {
     for (std::size_t base = 0; base < n; base += 8) {
       std::uint8_t mask = 0;
@@ -128,6 +138,11 @@ const ProfileHandle& empty_profile_handle() {
   return kEmpty;
 }
 
+ProfileHandle item_record(const Profile& profile) {
+  if (profile.empty()) return ProfileHandle();
+  return SnapshotArena::instance().encode_item(profile);
+}
+
 // ---- DescriptorRef --------------------------------------------------------
 
 Profile DescriptorRef::decode() const {
@@ -154,16 +169,36 @@ DescriptorRef DescriptorRef::make(Cycle timestamp,
 
 // ---- SnapshotArena --------------------------------------------------------
 
-ArenaIndex SnapshotArena::encode_blob(const Profile& profile) {
-  const ArenaIndex slot = blob_pool_.allocate();
-  CompactProfile* record = blob_pool_.get(slot);
-  record->slot_ = slot;
+ArenaIndex SnapshotArena::encode_record(SlabPool<CompactProfile>& pool, ArenaIndex tag,
+                                        const Profile& profile) {
+  const ArenaIndex slot = pool.allocate();
+  CompactProfile* record = pool.get(slot);
+  record->slot_ = slot | tag;
   record->init_from(profile);
-  return slot;
+  if (const std::size_t spill = record->spill_bytes(); spill != 0) {
+    spill_bytes_.fetch_add(spill, std::memory_order_relaxed);
+  }
+  return record->slot_;
+}
+
+ArenaIndex SnapshotArena::encode_blob(const Profile& profile) {
+  return encode_record(blob_pool_, 0, profile);
+}
+
+ProfileHandle SnapshotArena::encode_item(const Profile& profile) {
+  return ProfileHandle::adopt(encode_record(item_pool_, kItemRecordTag, profile));
 }
 
 void SnapshotArena::free_blob(const CompactProfile* record) {
-  blob_pool_.free(record->slot_);
+  if (const std::size_t spill = record->spill_bytes(); spill != 0) {
+    spill_bytes_.fetch_sub(spill, std::memory_order_relaxed);
+  }
+  const ArenaIndex slot = record->slot_;
+  if ((slot & kItemRecordTag) == 0) {
+    blob_pool_.free(slot);
+  } else {
+    item_pool_.free(slot & ~kItemRecordTag);
+  }
 }
 
 void SnapshotArena::free_stamp(ArenaIndex index, StampRecord* rec) {
@@ -301,7 +336,9 @@ SnapshotArena::Stats SnapshotArena::stats() const {
       stats.purged += shard.purged;
     }
   }
+  stats.spill_bytes = spill_bytes_.load(std::memory_order_relaxed);
   stats.blobs = blob_pool_.stats();
+  stats.items = item_pool_.stats();
   stats.stamps = stamp_pool_.stats();
   return stats;
 }

@@ -1,5 +1,5 @@
 // Compact profile snapshots in a per-run slab arena — the storage layer
-// behind every net::Descriptor.
+// behind every net::Descriptor and every news payload's item profile.
 //
 // A descriptor used to carry a deep `shared_ptr<const Profile>` snapshot:
 // ~230 bytes of SoA storage per copy (plus heap spill past 8 entries),
@@ -41,12 +41,15 @@
 //    engine advances the epoch each cycle, sweeping one shard of each
 //    table, and inserts amortize a sweep so the tables stay bounded even
 //    without an engine. Un-interned records and stamp records free
-//    immediately when their last holder drops.
+//    immediately when their last holder drops. News item profiles are
+//    detached records in a pool of their own (item_record below).
 #pragma once
 
 #include <atomic>
 #include <cstddef>
 #include <cstdint>
+#include <cstdlib>
+#include <limits>
 #include <memory>
 #include <mutex>
 #include <new>
@@ -64,9 +67,11 @@ class ProfileHandle;
 class SnapshotArena;
 
 // Slab addresses: 32-bit indices into a SnapshotArena pool. The top of the
-// index space is reserved so DescriptorRef can tag non-index payloads.
+// index space is reserved so DescriptorRef can tag non-index payloads, and
+// bit 30 marks an index into the item-record pool (item_record below).
 using ArenaIndex = std::uint32_t;
 inline constexpr ArenaIndex kNullArenaIndex = 0xFFFFFFFFu;
+inline constexpr ArenaIndex kItemRecordTag = 1u << 30;
 
 class CompactProfile {
  public:
@@ -83,6 +88,10 @@ class CompactProfile {
   std::uint64_t version() const { return version_; }
   double norm() const { return norm_; }
   std::size_t liked_count() const { return liked_; }
+  // The smallest entry timestamp (kNoOldest for an empty record): a window
+  // purge can tell from the header alone whether it would drop anything.
+  static constexpr Cycle kNoOldest = std::numeric_limits<Cycle>::max();
+  Cycle oldest_timestamp() const { return oldest_; }
 
   // The encoded sections a streaming reader needs (SimilarityScorer): the
   // score block comes first, so the id deltas start at a fixed offset and
@@ -96,9 +105,10 @@ class CompactProfile {
   // Encoded payload bytes (observability; excludes the record header).
   std::size_t encoded_bytes() const { return bytes_.size(); }
   // Full resident cost of this record: slab slot + any heap spill.
-  std::size_t resident_bytes() const {
-    return sizeof(CompactProfile) +
-           (bytes_.capacity() > kInlineBytes ? bytes_.capacity() : 0);
+  std::size_t resident_bytes() const { return sizeof(CompactProfile) + spill_bytes(); }
+  // Heap bytes of an encoded payload too large for the inline buffer.
+  std::size_t spill_bytes() const {
+    return bytes_.capacity() > kInlineBytes ? bytes_.capacity() : 0;
   }
 
  private:
@@ -135,9 +145,15 @@ class CompactProfile {
   std::uint32_t count_ = 0;
   std::uint32_t liked_ = 0;
   std::uint8_t flags_ = 0;
+  Cycle oldest_ = kNoOldest;  // sits in the padding after flags_
   // Layout: [score mask | raw doubles][id deltas][timestamp deltas].
   SmallVector<std::uint8_t, kInlineBytes> bytes_;
 };
+
+// Every live snapshot and every in-flight item profile is one of these
+// slab slots, so a header field that grew the record would grow them all.
+static_assert(sizeof(void*) != 8 || sizeof(CompactProfile) == 88,
+              "CompactProfile header fields must fit the existing padding");
 
 // A descriptor generation: the timestamp its owner stamped at emission plus
 // the profile snapshot it shipped. Every copy of the descriptor (views,
@@ -166,27 +182,27 @@ class SlabPool {
  public:
   static constexpr std::uint32_t kChunkShift = 12;
   static constexpr std::uint32_t kChunkSlots = 1u << kChunkShift;
-  // 32768 chunks × 4096 slots = 2^27 addressable records, far below the
-  // 2^31 ceiling DescriptorRef's tag bit imposes on indices.
+  // 32768 chunks × 4096 slots = 2^27 addressable records, below both the
+  // item-record tag (bit 30) and DescriptorRef's tag bit (bit 31).
   static constexpr std::uint32_t kMaxChunks = 1u << 15;
 
-  SlabPool() : chunks_(new std::atomic<Slot*>[kMaxChunks]) {
-    for (std::uint32_t c = 0; c < kMaxChunks; ++c) {
-      chunks_[c].store(nullptr, std::memory_order_relaxed);
-    }
+  // The chunk-pointer table comes zeroed from calloc, so only the pages
+  // of chunks in use ever become resident (256 KiB per pool otherwise).
+  SlabPool() : chunks_(static_cast<Slot**>(std::calloc(kMaxChunks, sizeof(Slot*)))) {
+    if (chunks_ == nullptr) throw std::bad_alloc();
   }
   SlabPool(const SlabPool&) = delete;
   SlabPool& operator=(const SlabPool&) = delete;
   ~SlabPool() {
-    for (std::uint32_t c = 0; c < kMaxChunks; ++c) {
-      delete[] chunks_[c].load(std::memory_order_relaxed);
+    for (std::uint32_t c = 0; c < meta_.size(); ++c) {
+      delete[] slab(c).load(std::memory_order_relaxed);
     }
   }
 
   // Lock-free: callers hold a reference on the record (directly or through
   // a handle), which pins the chunk (live > 0 chunks are never retired).
   Record* get(ArenaIndex index) const {
-    Slot* chunk = chunks_[index >> kChunkShift].load(std::memory_order_acquire);
+    Slot* chunk = slab(index >> kChunkShift).load(std::memory_order_acquire);
     return chunk[index & (kChunkSlots - 1)].record();
   }
 
@@ -195,7 +211,7 @@ class SlabPool {
     std::lock_guard<std::mutex> lock(mu_);
     while (!free_chunks_.empty()) {
       const std::uint32_t c = free_chunks_.back();
-      Slot* chunk = chunks_[c].load(std::memory_order_relaxed);
+      Slot* chunk = slab(c).load(std::memory_order_relaxed);
       if (chunk == nullptr || meta_[c].free_head == kNullArenaIndex) {
         free_chunks_.pop_back();  // stale entry (retired or drained chunk)
         continue;
@@ -216,7 +232,7 @@ class SlabPool {
   void free(ArenaIndex index) {
     std::lock_guard<std::mutex> lock(mu_);
     const std::uint32_t c = index >> kChunkShift;
-    Slot* chunk = chunks_[c].load(std::memory_order_relaxed);
+    Slot* chunk = slab(c).load(std::memory_order_relaxed);
     Slot& slot = chunk[index & (kChunkSlots - 1)];
     slot.record()->~Record();
     slot.next_free() = meta_[c].free_head;
@@ -224,7 +240,7 @@ class SlabPool {
     --meta_[c].live;
     --live_;
     if (meta_[c].live == 0 && c != newest_chunk_) {
-      chunks_[c].store(nullptr, std::memory_order_release);
+      slab(c).store(nullptr, std::memory_order_release);
       delete[] chunk;
       meta_[c].free_head = kNullArenaIndex;
       ++retired_;
@@ -245,7 +261,7 @@ class SlabPool {
     s.live = live_;
     s.retired = retired_;
     for (std::uint32_t c = 0; c < meta_.size(); ++c) {
-      if (chunks_[c].load(std::memory_order_relaxed) != nullptr) ++s.chunks;
+      if (slab(c).load(std::memory_order_relaxed) != nullptr) ++s.chunks;
     }
     s.resident_bytes = s.chunks * kChunkSlots * sizeof(Slot);
     return s;
@@ -271,7 +287,7 @@ class SlabPool {
   ArenaIndex allocate_in_new_chunk() {
     std::uint32_t c = 0;
     while (c < meta_.size() &&
-           chunks_[c].load(std::memory_order_relaxed) != nullptr) {
+           slab(c).load(std::memory_order_relaxed) != nullptr) {
       ++c;
     }
     if (c == meta_.size()) meta_.emplace_back();
@@ -284,15 +300,24 @@ class SlabPool {
     meta_[c].free_head = base + 1;  // slot 0 is handed out below
     meta_[c].live = 1;
     ++live_;
-    chunks_[c].store(chunk, std::memory_order_release);
+    slab(c).store(chunk, std::memory_order_release);
     newest_chunk_ = c;
     free_chunks_.push_back(c);
     new (chunk[0].storage) Record();
     return base;
   }
 
+  // Chunk c's slab, read lock-free by get() and written under mu_.
+  std::atomic_ref<Slot*> slab(std::uint32_t c) const {
+    return std::atomic_ref<Slot*>(chunks_.get()[c]);
+  }
+
+  struct FreeDeleter {
+    void operator()(Slot** table) const { std::free(table); }
+  };
+
   mutable std::mutex mu_;
-  std::unique_ptr<std::atomic<Slot*>[]> chunks_;
+  std::unique_ptr<Slot*, FreeDeleter> chunks_;
   std::vector<ChunkMeta> meta_;
   // Chunk ids that may hold free slots (lazily pruned stack).
   std::vector<std::uint32_t> free_chunks_;
@@ -362,6 +387,23 @@ static_assert(sizeof(ProfileHandle) == 4,
 // Shared handle for empty profiles (version 0): non-null — an explicitly
 // empty snapshot is distinct from a bootstrap descriptor with no snapshot.
 const ProfileHandle& empty_profile_handle();
+
+// ---- Item profiles on the news path ---------------------------------------
+//
+// A BEEP news payload carries its path-dependent item profile (paper §II-A,
+// Alg. 1) as a handle to a DETACHED record: never interned, freed when the
+// last payload copy drops; a null handle is the empty profile. Records are
+// immutable, so a fan-out of fLIKE copies bumps a refcount and no hop can
+// change a copy already in flight (another shard's mailbox included); a hop
+// that changes the profile writes a fresh record (whatsup/node.hpp).
+//
+// Item records live in their own slab pool: they churn once per like hop,
+// and in the snapshot pool they would contend for its mutex and shift the
+// indices of user snapshots, which the wire link tables place by index.
+
+// A detached item record of `profile`, or null when it is empty. Item
+// records are never descriptor snapshots (DescriptorRef::make).
+ProfileHandle item_record(const Profile& profile);
 
 // The 4-byte payload of a packed net::Descriptor: (timestamp, snapshot) of
 // one descriptor generation. Three encodings in one u32:
@@ -486,7 +528,12 @@ class SnapshotArena {
     std::uint64_t interned = 0;     // records encoded via the tables
     std::uint64_t reused = 0;       // intern hits on a live record
     std::uint64_t purged = 0;       // dead entries swept
+    // Heap bytes live records of both record pools spilled past their
+    // inline buffer (CompactProfile::spill_bytes); the pool stats count
+    // slab slots only.
+    std::size_t spill_bytes = 0;
     SlabPool<CompactProfile>::Stats blobs;
+    SlabPool<CompactProfile>::Stats items;  // item records
     SlabPool<StampRecord>::Stats stamps;
   };
   Stats stats() const;
@@ -494,6 +541,11 @@ class SnapshotArena {
   // ---- record plumbing (handles and inline accessors; not for callers) --
   const CompactProfile* blob(ArenaIndex index) const {
     return blob_pool_.get(index);
+  }
+  // Either pool, by the index's item tag (what a ProfileHandle addresses).
+  const CompactProfile* record(ArenaIndex index) const {
+    return (index & kItemRecordTag) == 0 ? blob_pool_.get(index)
+                                         : item_pool_.get(index & ~kItemRecordTag);
   }
   const StampRecord* stamp(ArenaIndex index) const {
     return stamp_pool_.get(index);
@@ -510,6 +562,7 @@ class SnapshotArena {
     }
   }
   void free_blob(const CompactProfile* record);
+  ProfileHandle encode_item(const Profile& profile);  // item_record
 
  private:
   SnapshotArena() = default;
@@ -535,15 +588,20 @@ class SnapshotArena {
     std::uint64_t purged = 0;
   };
 
-  // Encodes a fresh blob record (pool slot + init); caller owns the ref.
-  ArenaIndex encode_blob(const Profile& profile);
+  // Encodes a fresh record in `pool` (slot + init) and returns its index,
+  // tagged with `tag`; the caller owns the reference.
+  ArenaIndex encode_record(SlabPool<CompactProfile>& pool, ArenaIndex tag,
+                           const Profile& profile);
+  ArenaIndex encode_blob(const Profile& profile);  // the snapshot pool
   // Drops every table-only entry of `shard` (caller holds shard.mu).
   void sweep_shard(Shard& shard);
   // release_stamp slow path: frees `rec` (whose count just hit zero).
   void free_stamp(ArenaIndex index, StampRecord* rec);
 
   SlabPool<CompactProfile> blob_pool_;
+  SlabPool<CompactProfile> item_pool_;
   SlabPool<StampRecord> stamp_pool_;
+  std::atomic<std::size_t> spill_bytes_{0};  // Stats::spill_bytes
   Shard version_shards_[kShardCount];
   Shard content_shards_[kShardCount];
   std::atomic<std::uint64_t> epoch_{0};
@@ -578,7 +636,7 @@ inline ProfileHandle::~ProfileHandle() {
 
 inline const CompactProfile* ProfileHandle::record() const {
   return slot_ == kNullArenaIndex ? nullptr
-                                  : SnapshotArena::instance().blob(slot_);
+                                  : SnapshotArena::instance().record(slot_);
 }
 
 inline std::size_t ProfileHandle::size() const {

@@ -235,6 +235,35 @@ void SimilarityScorer::prepare(Metric metric, const Profile& subject) {
   }
 }
 
+void SimilarityScorer::prepare(Metric metric, const CompactProfile* subject) {
+  metric_ = metric;
+  ids_.clear();
+  scores_.clear();
+  if (subject == nullptr) {
+    norm_ = 0.0;
+    liked_ = 0;
+    return;
+  }
+  norm_ = subject->norm();
+  liked_ = subject->liked_count();
+  const auto append = [&](auto scores) {
+    const std::uint8_t* p = subject->id_deltas();
+    std::uint64_t id = 0;
+    for (std::size_t j = 0; j < subject->size(); ++j) {
+      id += static_cast<std::uint64_t>(zigzag_decode(varint_read(p)));
+      const double s = scores[j];
+      if (metric == Metric::kWup && s == 0.0) continue;
+      ids_.push_back(id);
+      scores_.push_back(s);
+    }
+  };
+  if (subject->binary_scores()) {
+    append(BinaryScores{subject->score_block()});
+  } else {
+    append(RawScores{subject->score_block()});
+  }
+}
+
 double SimilarityScorer::score(const CompactProfile* candidate) const {
   // A null candidate is the empty profile: no entries, norm 0, no likes.
   static const CompactProfile* const kEmpty = empty_profile_handle().record();

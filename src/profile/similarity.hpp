@@ -76,6 +76,10 @@ double similarity(Metric metric, const Profile& subject, const Profile& candidat
 class SimilarityScorer {
  public:
   void prepare(Metric metric, const Profile& subject);
+  // The same preparation read straight from a record (BEEP orients by the
+  // news payload's item-profile record); null prepares the empty profile.
+  // Equal to prepare(metric, subject->decode()) for every metric.
+  void prepare(Metric metric, const CompactProfile* subject);
 
   // similarity(metric, subject, decoded candidate), bit for bit. A null
   // candidate scores as the empty profile.

@@ -100,6 +100,8 @@ struct EngineMetrics {
   // at any thread count): chains created, and elapsed-cycle steps walked.
   obs::MetricId link_chains = obs::counter("sim.fault.link_chains");
   obs::MetricId chain_steps = obs::counter("sim.fault.chain_steps");
+  // Duplicate copies the fault model injected (routed at commit too).
+  obs::MetricId duplicated = obs::counter("sim.fault.duplicated");
 
   static const EngineMetrics& get() {
     static const EngineMetrics m;
@@ -535,9 +537,10 @@ void Engine::route_message(net::Message message) {
   }
   // Duplication: the copy takes its own latency draw, so it may land
   // before or after the original. Receivers are responsible for idempotent
-  // handling (SIR seen-state; the reliability layer's dedup log).
+  // handling (the SIR seen-set; an acked repeat is dropped there).
   if (config_.network.duplicate_rate > 0.0 &&
       mrng.bernoulli(config_.network.duplicate_rate)) {
+    obs::add(EngineMetrics::get().duplicated);
     net::Message copy = message;
     traffic_.record_sent(protocol, config_.size_model.bytes(copy));
     emit(now_ + draw_delay(), std::move(copy));
@@ -736,7 +739,8 @@ Engine::MemoryStats Engine::memory_stats() const {
     total.scratch_bytes += link_out_[f].resident_bytes() + link_in_[f].resident_bytes();
   }
   const SnapshotArena::Stats arena = SnapshotArena::instance().stats();
-  total.arena_bytes = arena.blobs.resident_bytes + arena.stamps.resident_bytes;
+  total.arena_bytes = arena.blobs.resident_bytes + arena.items.resident_bytes +
+                      arena.stamps.resident_bytes + arena.spill_bytes;
   total.fault_bytes = link_chains_.resident_bytes();
   return total;
 }

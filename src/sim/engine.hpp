@@ -272,7 +272,7 @@ class Engine : public ParallelExecutor {
     std::size_t payload_bytes = 0;   // descriptor vectors inside queued messages
     std::size_t outbox_bytes = 0;    // per-shard outbox capacity
     std::size_t scratch_bytes = 0;   // delivery-batch scratch + link tables
-    std::size_t arena_bytes = 0;     // snapshot-arena slab storage (process-wide)
+    std::size_t arena_bytes = 0;     // snapshot-arena slabs + record spill (process-wide)
     std::size_t fault_bytes = 0;     // burst-loss link-chain rows (LinkChains)
     std::size_t total() const {
       return mailbox_bytes + payload_bytes + outbox_bytes + scratch_bytes +

@@ -1,9 +1,6 @@
 #include "sim/reliability.hpp"
 
 #include <algorithm>
-#include <bit>
-#include <stdexcept>
-#include <string>
 
 #include "obs/registry.hpp"
 
@@ -19,7 +16,6 @@ struct ReliabilityMetrics {
   obs::MetricId retransmits = obs::counter("relia.retransmits");
   obs::MetricId expired = obs::counter("relia.expired");
   obs::MetricId overflowed = obs::counter("relia.overflowed");
-  obs::MetricId dedup_repeats = obs::counter("relia.dedup.repeats");
 
   static const ReliabilityMetrics& get() {
     static const ReliabilityMetrics m;
@@ -28,79 +24,6 @@ struct ReliabilityMetrics {
 };
 
 }  // namespace
-
-// ---- DedupLog -------------------------------------------------------------
-
-DedupLog::DedupLog(std::size_t capacity) : capacity_(std::max<std::size_t>(capacity, 1)) {
-  if (capacity_ > kMaxCapacity) {
-    throw std::invalid_argument("sim::DedupLog: capacity " + std::to_string(capacity) +
-                                " exceeds " + std::to_string(kMaxCapacity) +
-                                " (16-bit ring positions)");
-  }
-  const std::size_t slots = std::bit_ceil(2 * capacity_);
-  slots_.assign(slots, kEmpty);
-  shift_ = 64 - std::countr_zero(slots);
-}
-
-std::uint64_t DedupLog::key(ItemId item, int hop) {
-  // Item ids are 8-byte hashes already; mixing the hop in with a golden-
-  // ratio multiple keeps distinct (item, hop) pairs from colliding in
-  // practice.
-  return item ^ (static_cast<std::uint64_t>(static_cast<std::uint32_t>(hop)) *
-                 0x9e3779b97f4a7c15ULL);
-}
-
-std::size_t DedupLog::home(std::uint64_t k) const {
-  // Fibonacci hashing: the top bits of a multiplicative mix.
-  return static_cast<std::size_t>((k * 0x9e3779b97f4a7c15ULL) >> shift_);
-}
-
-bool DedupLog::seen_or_insert(ItemId item, int hop) {
-  const std::uint64_t k = key(item, hop);
-  const std::size_t mask = slots_.size() - 1;
-  for (std::size_t i = home(k); slots_[i] != kEmpty; i = (i + 1) & mask) {
-    if (ring_[slots_[i]] == k) {
-      obs::add(ReliabilityMetrics::get().dedup_repeats);
-      return true;
-    }
-  }
-  std::uint16_t pos;
-  if (ring_.size() < capacity_) {
-    pos = static_cast<std::uint16_t>(ring_.size());
-    ring_.push_back(k);
-  } else {
-    pos = static_cast<std::uint16_t>(oldest_);
-    unindex(ring_[pos], pos);
-    ring_[pos] = k;
-    oldest_ = oldest_ + 1 == capacity_ ? 0 : oldest_ + 1;
-  }
-  std::size_t i = home(k);
-  while (slots_[i] != kEmpty) i = (i + 1) & mask;
-  slots_[i] = pos;
-  return false;
-}
-
-void DedupLog::unindex(std::uint64_t k, std::uint16_t pos) {
-  const std::size_t mask = slots_.size() - 1;
-  std::size_t hole = home(k);
-  while (slots_[hole] != pos) hole = (hole + 1) & mask;
-  // Backward-shift deletion: pull each later entry of the probe run into
-  // the hole unless the hole lies before its home slot (cyclically).
-  for (std::size_t j = (hole + 1) & mask; slots_[j] != kEmpty; j = (j + 1) & mask) {
-    const std::size_t h = home(ring_[slots_[j]]);
-    if (((j - h) & mask) >= ((j - hole) & mask)) {
-      slots_[hole] = slots_[j];
-      hole = j;
-    }
-  }
-  slots_[hole] = kEmpty;
-}
-
-void DedupLog::clear() {
-  ring_.clear();
-  oldest_ = 0;
-  std::fill(slots_.begin(), slots_.end(), kEmpty);
-}
 
 // ---- RetransmitQueue ------------------------------------------------------
 

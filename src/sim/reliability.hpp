@@ -3,8 +3,7 @@
 // BEEP is fire-and-forget: under the paper's PlanetLab conditions up to
 // ~30% of correctly sent news never reached their target (§V-D). This
 // layer adds per-copy acknowledgments with timeout, exponential backoff
-// and bounded retries, plus a bounded dedup log so duplicated/reordered/
-// retransmitted deliveries stay idempotent:
+// and bounded retries:
 //
 //   * Sender: after forwarding a news copy to `target`, it registers the
 //     (item, target) pair in its RetransmitQueue. An incoming kAck from
@@ -15,9 +14,9 @@
 //     a suspected-dead peer (fed into gossip view hygiene).
 //   * Receiver: every news receipt is acknowledged back to its immediate
 //     forwarder — including repeats, so a lost ack is recovered by the
-//     retransmission it provokes. The DedupLog remembers recently seen
-//     (item, hop) keys to classify exact-copy repeats without unbounded
-//     state.
+//     retransmission it provokes. The SIR seen-set (whatsup/node.cpp)
+//     keeps duplicated, reordered and retransmitted deliveries idempotent:
+//     a repeat is acked, counted as a duplicate and dropped.
 //
 // Determinism: the queue's only randomness is the ±1 cycle retransmission
 // jitter, drawn from the node's reserved counter-based reliability
@@ -44,48 +43,6 @@ struct ReliabilityConfig {
   // Pending-entry cap per node; the oldest entry is dropped on overflow
   // (bounds memory under pathological loss).
   std::size_t queue_limit = 512;
-  // DedupLog capacity (recently seen (item, hop) keys).
-  std::size_t dedup_capacity = 1024;
-};
-
-// Bounded FIFO log of recently seen (item, hop) keys. Classifies repeat
-// deliveries of the same copy (retransmissions, network duplicates) so
-// they can be re-acked without reprocessing, with O(capacity) memory.
-//
-// Layout: the keys sit in a ring in insertion order; the ring grows to
-// `capacity`, then each insertion overwrites the oldest key. An
-// open-addressing table of 16-bit ring positions (at least 2 × capacity
-// slots, a power of two; linear probing, backward-shift deletion) indexes
-// the ring, so a lookup touches one short probe run and the log stops
-// allocating once the ring is full.
-class DedupLog {
- public:
-  // Throws std::invalid_argument when capacity > kMaxCapacity; 0 acts as 1.
-  explicit DedupLog(std::size_t capacity = 1024);
-
-  static constexpr std::size_t kMaxCapacity = 65535;
-
-  // True when the key was already present (a duplicate); records it and
-  // returns false otherwise. Eviction is FIFO on insertion order.
-  bool seen_or_insert(ItemId item, int hop);
-
-  std::size_t size() const { return ring_.size(); }
-  std::size_t capacity() const { return capacity_; }
-  void clear();
-
- private:
-  static constexpr std::uint16_t kEmpty = 0xffff;  // never a ring position
-
-  static std::uint64_t key(ItemId item, int hop);
-  std::size_t home(std::uint64_t k) const;
-  // Removes the index entry of ring position `pos` (holding key `k`).
-  void unindex(std::uint64_t k, std::uint16_t pos);
-
-  std::size_t capacity_;
-  std::vector<std::uint64_t> ring_;   // keys; ring_[oldest_] is next to go once full
-  std::size_t oldest_ = 0;
-  std::vector<std::uint16_t> slots_;  // ring positions or kEmpty
-  int shift_ = 0;                     // 64 - log2(slots)
 };
 
 // Per-node retransmission queue for in-flight news copies.
@@ -113,7 +70,7 @@ class RetransmitQueue {
 
   // Registers an in-flight copy of `news` sent to `to` at cycle `now`.
   // The payload snapshot is kept for retransmission (cheap: the item
-  // profile is a copy-on-write reference).
+  // profile is a shared immutable record).
   void track(Cycle now, NodeId to, const net::NewsPayload& news);
 
   // Clears the pending entry for (item, from); true when one was cleared

@@ -23,7 +23,41 @@ struct HygieneMetrics {
   }
 };
 
+// Writes `profile` as the item's new record (null when it is empty).
+void write_item_profile(ProfileHandle& item, const Profile& profile) {
+  item = item_record(profile);
+  if (item != nullptr && obs::enabled()) {
+    static const obs::MetricId encodes = obs::counter("beep.item_profile.encodes");
+    obs::add(encodes);
+  }
+}
+
+void purge_item_profile(ProfileHandle& item, Cycle cutoff) {
+  if (item == nullptr || item->oldest_timestamp() >= cutoff) return;
+  Profile profile = item.decode();
+  profile.purge_older_than(cutoff);
+  write_item_profile(item, profile);
+}
+
 }  // namespace
+
+void like_item(ProfileHandle& item, Profile& user, ItemId id, Cycle created, Cycle cutoff) {
+  if (user.empty()) {  // nothing to fold
+    user.set(id, created, 1.0);
+    purge_item_profile(item, cutoff);
+    return;
+  }
+  Profile profile = item.decode();
+  profile.fold_profile(user);
+  user.set(id, created, 1.0);
+  profile.purge_older_than(cutoff);
+  write_item_profile(item, profile);
+}
+
+void dislike_item(ProfileHandle& item, Profile& user, ItemId id, Cycle created, Cycle cutoff) {
+  user.set(id, created, 0.0);
+  purge_item_profile(item, cutoff);
+}
 
 WhatsUpAgent::WhatsUpAgent(NodeId self, WhatsUpConfig config, const sim::Opinions& opinions)
     : self_(self),
@@ -42,11 +76,6 @@ WhatsUpAgent::WhatsUpAgent(NodeId self, WhatsUpConfig config, const sim::Opinion
 const sim::RetransmitQueue& WhatsUpAgent::retransmit_queue() const {
   static const sim::RetransmitQueue kEmpty{};
   return opt_in_ != nullptr ? opt_in_->retx : kEmpty;
-}
-
-const sim::DedupLog& WhatsUpAgent::dedup_log() const {
-  static const sim::DedupLog kEmpty{};
-  return opt_in_ != nullptr ? opt_in_->dedup : kEmpty;
 }
 
 const gossip::ViewHygiene& WhatsUpAgent::hygiene() const {
@@ -176,13 +205,12 @@ void WhatsUpAgent::handle_rejoin_request(sim::Context& ctx,
 }
 
 void WhatsUpAgent::on_recover(sim::Context& ctx) {
-  // Views, pending retransmissions and the dedup log are soft state and
-  // died with the process; the profile and SIR set model durable storage.
+  // Views and pending retransmissions are soft state and died with the
+  // process; the profile and SIR set model durable storage.
   rps_.view().clear();
   wup_.view().clear();
   if (opt_in_ != nullptr) {
     opt_in_->retx.clear();
-    opt_in_->dedup.clear();
     opt_in_->hygiene.clear();
   }
   const NodeId contact = ctx.random_active_peer();
@@ -201,9 +229,6 @@ void WhatsUpAgent::handle_news(sim::Context& ctx, NodeId from, net::NewsPayload 
     if (from != kNoNode && from != self_) {
       ctx.send(from, net::MsgType::kAck, net::AckPayload{news.id, news.hops});
     }
-    // Classify exact-copy repeats (retransmissions, network duplicates)
-    // with bounded memory; multi-path copies land under fresh keys.
-    opt_in_->dedup.seen_or_insert(news.id, news.hops);
   }
   // SIR: an already-received item is dropped (§III) — but counted, so the
   // redundancy ratio (duplicate vs unique deliveries) is observable.
@@ -220,17 +245,12 @@ void WhatsUpAgent::handle_news(sim::Context& ctx, NodeId from, net::NewsPayload 
     obs->on_opinion(self_, news.index, liked);
   }
 
+  const Cycle cutoff = ctx.now() - config_.params.profile_window;
   if (liked) {
-    // Alg. 1 lines 2-5: fold the user profile into the item profile, then
-    // record the like (keyed by the ITEM's creation timestamp, so the
-    // profile window measures item age).
-    news.item_profile.fold_profile(profile_);
-    profile_.set(news.id, news.created, 1.0);
+    like_item(news.item_profile, profile_, news.id, news.created, cutoff);
   } else {
-    profile_.set(news.id, news.created, 0.0);  // line 7
+    dislike_item(news.item_profile, profile_, news.id, news.created, cutoff);
   }
-  // Alg. 1 lines 8-10: purge stale entries from the item profile.
-  news.item_profile.purge_older_than(ctx.now() - config_.params.profile_window);
   forward(ctx, liked, std::move(news));
 }
 
@@ -260,7 +280,11 @@ void WhatsUpAgent::publish(sim::Context& ctx, ItemIdx index, ItemId id) {
   news.index = index;
   news.created = ctx.now();
   news.origin = self_;
-  news.item_profile.fold_profile(profile_);
+  // Folding into an empty profile copies the user profile under a fresh
+  // version stamp, as every item-profile change draws one (see like_item).
+  Profile item;
+  item.fold_profile(profile_);
+  news.item_profile = item_record(item);
   forward(ctx, /*liked=*/true, std::move(news));
 }
 

@@ -40,6 +40,25 @@ struct WhatsUpConfig {
   }
 };
 
+// Alg. 1 on one received news item: the item profile the payload carries
+// (a detached record, profile/compact.hpp; null is the empty profile) and
+// the receiver's user profile `user`.
+//
+// like_item folds `user` into the item profile (lines 3-4), records the
+// like in `user`, keyed by the item's creation cycle so the profile window
+// measures item age (line 5), then drops the item entries older than
+// `cutoff` (lines 8-10): one decode and one record written, or none when
+// `user` is empty and nothing is older than `cutoff`. dislike_item records
+// the dislike (line 7) and keeps the record as it is unless its header's
+// oldest timestamp is older than `cutoff`. Every record written counts
+// `beep.item_profile.encodes` when telemetry is on.
+//
+// The steps run in Alg. 1's order, so the profiles draw their version
+// stamps in that order too. The snapshot arena's layout follows from those
+// stamps, and the wire link tables place snapshots by arena index.
+void like_item(ProfileHandle& item, Profile& user, ItemId id, Cycle created, Cycle cutoff);
+void dislike_item(ProfileHandle& item, Profile& user, ItemId id, Cycle created, Cycle cutoff);
+
 class WhatsUpAgent : public sim::Agent {
  public:
   WhatsUpAgent(NodeId self, WhatsUpConfig config, const sim::Opinions& opinions);
@@ -48,9 +67,9 @@ class WhatsUpAgent : public sim::Agent {
   void on_cycle(sim::Context& ctx) override;
   void on_message(sim::Context& ctx, const net::Message& message) override;
   void publish(sim::Context& ctx, ItemIdx index, ItemId id) override;
-  // Crash recovery: drop soft state (views, retransmission queue, dedup
-  // log) and rebuild via a rejoin handshake; the profile and SIR state
-  // model durable storage and survive.
+  // Crash recovery: drop soft state (views, retransmission queue) and
+  // rebuild via a rejoin handshake; the profile and SIR state model
+  // durable storage and survive.
   void on_recover(sim::Context& ctx) override;
 
   // Seed the views directly (bootstrap server stand-in at deployment
@@ -74,7 +93,6 @@ class WhatsUpAgent : public sim::Agent {
   // When the corresponding feature is off these return empty statics (the
   // per-agent state only exists when some opt-in feature is configured).
   const sim::RetransmitQueue& retransmit_queue() const;
-  const sim::DedupLog& dedup_log() const;
   const gossip::ViewHygiene& hygiene() const;
 
  private:
@@ -92,19 +110,15 @@ class WhatsUpAgent : public sim::Agent {
   // State for the opt-in layers (reliability, view hygiene, obfuscation),
   // allocated only when at least one of them is configured on. The
   // baseline protocol never touches any of it, and at the million-node
-  // scale its inline members (520 B/agent on x86-64 libstdc++: cached
-  // obfuscated Profile 280, retransmit queue 104, dedup log 72, hygiene
-  // table 64) would be a significant slice of the per-node footprint in
-  // runs that enable none of them. In use, the dedup log's ring and index
-  // (12 KiB at the default capacity of 1024) dominate its heap.
+  // scale its inline members (cached obfuscated Profile 280 B, retransmit
+  // queue 104 B, hygiene table 64 B on x86-64 libstdc++) would be a
+  // significant slice of the per-node footprint in runs that enable none
+  // of them.
   struct OptInState {
     explicit OptInState(const WhatsUpConfig& config)
-        : retx(config.reliability),
-          dedup(config.reliability.dedup_capacity),
-          hygiene(config.hygiene) {}
+        : retx(config.reliability), hygiene(config.hygiene) {}
 
     sim::RetransmitQueue retx;     // reliability layer
-    sim::DedupLog dedup;           // duplicate classification (reliability)
     gossip::ViewHygiene hygiene;   // failure-aware view hygiene
     // Rebuilds the disclosed snapshot only when the profile version or the
     // obfuscation epoch changes (perf only; see docs/perf.md).

@@ -52,7 +52,7 @@ TEST(Beep, DislikedItemGetsOneOrientedTarget) {
   BeepConfig config;
   config.ttl = 4;
   net::NewsPayload news;
-  news.item_profile = liked({100, 101});
+  news.item_profile = CompactProfile::encode(liked({100, 101}));
 
   gossip::View rps(8);
   rps.insert_or_refresh(net::make_descriptor(1, 0, liked({100, 101})));  // best match
@@ -110,7 +110,7 @@ TEST(Beep, OrientationOffPicksRandomRpsTarget) {
   for (std::uint64_t seed = 0; seed < 30; ++seed) {
     Rng rng(seed);
     net::NewsPayload news;
-    news.item_profile = liked({100});
+    news.item_profile = CompactProfile::encode(liked({100}));
     gossip::View rps(8);
     rps.insert_or_refresh(net::make_descriptor(1, 0, liked({100})));
     rps.insert_or_refresh(net::make_descriptor(2, 0, liked({200})));
@@ -132,11 +132,11 @@ TEST(Beep, EmptyViewsYieldNoTargets) {
 
 TEST(SelectMostSimilar, EmptyViewReturnsNoNode) {
   Rng rng(8);
-  EXPECT_EQ(select_most_similar(gossip::View(4), Profile{}, Metric::kWup, rng), kNoNode);
+  EXPECT_EQ(select_most_similar(gossip::View(4), nullptr, Metric::kWup, rng), kNoNode);
 }
 
 TEST(SelectMostSimilar, TieBreaksUniformly) {
-  Profile item;  // empty item profile: every candidate ties at 0
+  const CompactProfile* item = nullptr;  // empty item profile: every candidate ties at 0
   gossip::View rps(8);
   for (NodeId v = 1; v <= 4; ++v) rps.insert_or_refresh(net::Descriptor{v, 0, nullptr});
   std::set<NodeId> picked;
@@ -158,7 +158,7 @@ TEST(Beep, OrientedDislikeFanoutPicksDistinctTargets) {
   config.f_dislike = 3;
   config.ttl = 4;
   net::NewsPayload news;
-  news.item_profile = liked({100, 101});
+  news.item_profile = CompactProfile::encode(liked({100, 101}));
 
   // WUP scores against the item profile: 1 → 1.0 (exact match),
   // 2 → 1/√2 (one extra item inflates ‖b‖), 3 → 1/√3, 4 → 0 (disjoint);
@@ -184,7 +184,7 @@ TEST(Beep, OrientedDislikeFanoutClampedToViewSize) {
   BeepConfig config;
   config.f_dislike = 5;
   net::NewsPayload news;
-  news.item_profile = liked({100});
+  news.item_profile = CompactProfile::encode(liked({100}));
   gossip::View rps(8);
   rps.insert_or_refresh(net::make_descriptor(1, 0, liked({100})));
   rps.insert_or_refresh(net::make_descriptor(2, 0, liked({200})));
@@ -195,16 +195,16 @@ TEST(Beep, OrientedDislikeFanoutClampedToViewSize) {
 
 TEST(SelectMostSimilar, ExcludedNodesAreSkipped) {
   Rng rng(12);
-  Profile item = liked({100});
+  const ProfileHandle item = CompactProfile::encode(liked({100}));
   gossip::View rps(8);
   rps.insert_or_refresh(net::make_descriptor(1, 0, liked({100})));
   rps.insert_or_refresh(net::make_descriptor(2, 0, liked({100, 200})));
-  const NodeId first = select_most_similar(rps, item, Metric::kWup, rng);
+  const NodeId first = select_most_similar(rps, item.record(), Metric::kWup, rng);
   EXPECT_EQ(first, 1u);
   const std::vector<NodeId> excluded{first};
-  EXPECT_EQ(select_most_similar(rps, item, Metric::kWup, rng, excluded), 2u);
+  EXPECT_EQ(select_most_similar(rps, item.record(), Metric::kWup, rng, excluded), 2u);
   const std::vector<NodeId> all{1, 2};
-  EXPECT_EQ(select_most_similar(rps, item, Metric::kWup, rng, all), kNoNode);
+  EXPECT_EQ(select_most_similar(rps, item.record(), Metric::kWup, rng, all), kNoNode);
 }
 
 TEST(Beep, DislikeFanoutParameterHonored) {

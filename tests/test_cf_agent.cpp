@@ -27,7 +27,7 @@ net::Message news_to(NodeId from, NodeId to, ItemIdx index, Profile item_profile
   net::NewsPayload payload;
   payload.index = index;
   payload.id = 10000 + index;
-  payload.item_profile = std::move(item_profile);
+  if (!item_profile.empty()) payload.item_profile = CompactProfile::encode(item_profile);
   m.payload = payload;
   return m;
 }
@@ -110,7 +110,7 @@ TEST(CfAgent, ForwardedCopiesCarryNoItemProfile) {
   fx.engine.send(news_to(0, 2, 5, incoming_profile));
   fx.engine.run_cycles(3);
   for (auto* sink : fx.sinks) {
-    for (const auto& n : sink->news) EXPECT_TRUE(n.item_profile.empty());
+    for (const auto& n : sink->news) EXPECT_TRUE(n.item_profile == nullptr);
   }
 }
 

@@ -174,6 +174,9 @@ TEST(CompactProfile, RoundTripIsBitIdenticalToCopy) {
     EXPECT_EQ(compact->version(), p.version());
     EXPECT_EQ(compact->liked_count(), p.liked_count());
     EXPECT_EQ(compact->norm(), p.norm());
+    const auto ts = p.timestamps();
+    EXPECT_EQ(compact->oldest_timestamp(),
+              p.empty() ? CompactProfile::kNoOldest : *std::min_element(ts.begin(), ts.end()));
   }
 }
 
@@ -458,6 +461,23 @@ TEST(SnapshotArena, ResidentBytesTracksEncodedPayload) {
   EXPECT_GE(cs->resident_bytes(), sizeof(CompactProfile));
   EXPECT_GT(cl->resident_bytes(), cl->encoded_bytes());
   EXPECT_GT(cl->encoded_bytes(), cs->encoded_bytes());
+}
+
+TEST(SnapshotArena, StatsCountTheRecordsHeapSpill) {
+  // A live record costs its slab slot plus its spilled payload; the arena
+  // stats (and the engine's arena_bytes gauge built on them) count both.
+  Profile p;
+  for (int i = 1; i <= 100; ++i) p.set(i * 11, i, 0.25 + i * 1e-3);
+  const auto live_cost = [] {
+    const SnapshotArena::Stats s = SnapshotArena::instance().stats();
+    return s.blobs.live * sizeof(CompactProfile) + s.spill_bytes;
+  };
+  const std::size_t before = live_cost();
+  ProfileHandle h = CompactProfile::encode(p);
+  EXPECT_GT(h->spill_bytes(), 0u);
+  EXPECT_EQ(live_cost() - before, h->resident_bytes());
+  h = ProfileHandle();
+  EXPECT_EQ(live_cost(), before);
 }
 
 TEST(SnapshotArena, FreedSlotsAreRecycled) {

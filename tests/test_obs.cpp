@@ -410,11 +410,12 @@ TEST(ObsDeterminism, DigestsBitIdenticalAcrossThreadsAndWidths) {
   }
 }
 
-// The similarity work counters are exact: a pure function of the seed, so
-// two runs agree, and so do 1, 2 and 4 worker threads (each worker counts
-// the selections of the nodes it runs into its own lane). The record
-// scorer decodes no more candidate ids than it is presented.
-TEST(ObsDeterminism, SimilarityCountersExactAcrossRunsAndThreads) {
+// The similarity and item-profile work counters are exact: a pure function
+// of the seed, so two runs agree, and so do 1, 2 and 4 worker threads (each
+// worker counts the selections and news hops of the nodes it runs into its
+// own lane). The record scorer decodes no more candidate ids than it is
+// presented.
+TEST(ObsDeterminism, ScoringAndItemProfileCountersExactAcrossRunsAndThreads) {
   StatsGuard guard;
   const data::Workload workload = obs_workload();
   auto counts = [&](unsigned threads) {
@@ -426,22 +427,25 @@ TEST(ObsDeterminism, SimilarityCountersExactAcrossRunsAndThreads) {
     obs::set_enabled(false);
     return std::tuple{result.stats.value("similarity.candidates"),
                       result.stats.value("similarity.entries_scanned"),
-                      result.stats.value("similarity.entries_decoded")};
+                      result.stats.value("similarity.entries_decoded"),
+                      result.stats.value("beep.item_profile.encodes")};
   };
   const auto first = counts(1);
-  const auto [candidates, scanned, decoded] = first;
+  const auto [candidates, scanned, decoded, encodes] = first;
   EXPECT_GT(candidates, 0u);
   EXPECT_GT(scanned, candidates);
   EXPECT_GT(decoded, 0u);
   EXPECT_LE(decoded, scanned);
+  EXPECT_GT(encodes, 0u);
   EXPECT_EQ(counts(1), first);
   EXPECT_EQ(counts(2), first);
   EXPECT_EQ(counts(4), first);
 }
 
-// The burst-loss work counters are exact too: chains are created and
-// walked at commit, on the main thread, so 1, 2 and 4 worker threads count
-// the same chains and steps.
+// The fault-layer work counters are exact too: burst-loss chains are
+// created and walked, and duplicate copies injected, at commit on the main
+// thread, so 1, 2 and 4 worker threads count the same chains, steps and
+// duplicates.
 TEST(ObsDeterminism, FaultCountersExactAcrossThreads) {
   StatsGuard guard;
   const data::Workload workload = obs_workload();
@@ -451,16 +455,20 @@ TEST(ObsDeterminism, FaultCountersExactAcrossThreads) {
     config.network.burst.p_enter = 0.1;
     config.network.burst.p_exit = 0.3;
     config.network.burst.loss_bad = 0.6;
+    config.network.duplicate_rate = 0.05;
     config.observability.enable_stats = true;
     obs::Registry::instance().reset();
     const analysis::RunResult result = analysis::run_protocol(workload, config);
     obs::set_enabled(false);
-    return std::pair{result.stats.value("sim.fault.link_chains"),
-                     result.stats.value("sim.fault.chain_steps")};
+    return std::tuple{result.stats.value("sim.fault.link_chains"),
+                      result.stats.value("sim.fault.chain_steps"),
+                      result.stats.value("sim.fault.duplicated")};
   };
   const auto first = counts(1);
-  EXPECT_GT(first.first, 0u);
-  EXPECT_GT(first.second, first.first);
+  const auto [chains, steps, duplicated] = first;
+  EXPECT_GT(chains, 0u);
+  EXPECT_GT(steps, chains);
+  EXPECT_GT(duplicated, 0u);
   EXPECT_EQ(counts(1), first);
   EXPECT_EQ(counts(2), first);
   EXPECT_EQ(counts(4), first);

@@ -1,4 +1,4 @@
-// Reliability layer: dedup-log and retransmit-queue unit semantics
+// Reliability layer: retransmit-queue unit semantics
 // (backoff schedule, retry exhaustion, ack loss, overflow), engine-level
 // crash/recovery, Gilbert–Elliott bursty loss, view hygiene, and the
 // headline robustness claim — under ~20% bursty loss, enabling the
@@ -7,16 +7,12 @@
 
 #include <algorithm>
 #include <cstdint>
-#include <deque>
 #include <map>
 #include <memory>
-#include <stdexcept>
-#include <unordered_set>
 #include <utility>
 #include <vector>
 
 #include "analysis/runner.hpp"
-#include "common/hash.hpp"
 #include "dataset/survey.hpp"
 #include "gossip/hygiene.hpp"
 #include "sim/engine.hpp"
@@ -25,104 +21,6 @@
 
 namespace whatsup {
 namespace {
-
-// ---- DedupLog -------------------------------------------------------------
-
-TEST(DedupLog, DetectsExactCopyRepeats) {
-  sim::DedupLog log(8);
-  EXPECT_FALSE(log.seen_or_insert(101, 2));
-  EXPECT_TRUE(log.seen_or_insert(101, 2));  // same (item, hop): duplicate
-  EXPECT_FALSE(log.seen_or_insert(101, 3));  // same item, other hop: fresh copy
-  EXPECT_FALSE(log.seen_or_insert(202, 2));
-  EXPECT_EQ(log.size(), 3u);
-}
-
-TEST(DedupLog, EvictsFifoAtCapacity) {
-  sim::DedupLog log(2);
-  EXPECT_FALSE(log.seen_or_insert(1, 0));
-  EXPECT_FALSE(log.seen_or_insert(2, 0));
-  EXPECT_FALSE(log.seen_or_insert(3, 0));  // evicts (1, 0)
-  EXPECT_EQ(log.size(), 2u);
-  EXPECT_FALSE(log.seen_or_insert(1, 0));  // forgotten, re-inserted
-  EXPECT_TRUE(log.seen_or_insert(3, 0));   // still remembered
-}
-
-TEST(DedupLog, ClearForgetsEverything) {
-  sim::DedupLog log(4);
-  log.seen_or_insert(7, 1);
-  log.clear();
-  EXPECT_EQ(log.size(), 0u);
-  EXPECT_FALSE(log.seen_or_insert(7, 1));
-}
-
-// The node-based log the ring replaced: a hash set of keys plus a FIFO of
-// insertion order. Same key mix, so the two agree key for key.
-class ReferenceDedupLog {
- public:
-  explicit ReferenceDedupLog(std::size_t capacity) : capacity_(std::max<std::size_t>(capacity, 1)) {}
-  bool seen_or_insert(ItemId item, int hop) {
-    const std::uint64_t k =
-        item ^ (static_cast<std::uint64_t>(static_cast<std::uint32_t>(hop)) * 0x9e3779b97f4a7c15ULL);
-    if (set_.count(k) != 0) return true;
-    if (order_.size() >= capacity_) {
-      set_.erase(order_.front());
-      order_.pop_front();
-    }
-    set_.insert(k);
-    order_.push_back(k);
-    return false;
-  }
-  std::size_t size() const { return order_.size(); }
-  void clear() {
-    set_.clear();
-    order_.clear();
-  }
-
- private:
-  std::size_t capacity_;
-  std::unordered_set<std::uint64_t> set_;
-  std::deque<std::uint64_t> order_;
-};
-
-TEST(DedupLog, MatchesReferenceModelOnRandomStreams) {
-  for (const std::size_t capacity : {1u, 2u, 3u, 1000u, 1024u}) {
-    SCOPED_TRACE(testing::Message() << "capacity=" << capacity);
-    Rng rng(capacity * 7919 + 1);
-    sim::DedupLog log(capacity);
-    ReferenceDedupLog reference(capacity);
-    // About 8 × capacity distinct keys: repeats, evictions and
-    // re-insertions of evicted keys all occur.
-    const std::size_t universe = 2 * capacity + 3;
-    std::size_t repeats = 0;
-    for (int step = 0; step < 40000; ++step) {
-      if (rng.index(5000) == 0) {
-        log.clear();
-        reference.clear();
-        ASSERT_EQ(log.size(), 0u);
-        continue;
-      }
-      // Item ids are hashes in the protocol; small raw ids probe the
-      // table's clustering harder.
-      const auto index = static_cast<ItemIdx>(rng.index(universe));
-      const ItemId item = rng.bernoulli(0.5) ? index : make_item_id("dedup", index);
-      const int hop = static_cast<int>(rng.index(4));
-      const bool seen = log.seen_or_insert(item, hop);
-      ASSERT_EQ(seen, reference.seen_or_insert(item, hop)) << "step " << step;
-      ASSERT_EQ(log.size(), reference.size()) << "step " << step;
-      repeats += seen ? 1 : 0;
-    }
-    EXPECT_GT(repeats, 0u);
-    EXPECT_EQ(log.capacity(), capacity);
-  }
-}
-
-TEST(DedupLog, CapacityIsBoundedBySixteenBitPositions) {
-  EXPECT_THROW(sim::DedupLog(sim::DedupLog::kMaxCapacity + 1), std::invalid_argument);
-  sim::DedupLog largest(sim::DedupLog::kMaxCapacity);
-  EXPECT_FALSE(largest.seen_or_insert(1, 0));
-  EXPECT_TRUE(largest.seen_or_insert(1, 0));
-  EXPECT_EQ(sim::DedupLog(0).capacity(), 1u);  // 0 acts as 1, as before
-}
 
 // ---- RetransmitQueue ------------------------------------------------------
 

@@ -41,7 +41,7 @@ TEST(SizeModel, NewsMessageCarriesItemProfile) {
   Message m;
   m.type = MsgType::kNews;
   NewsPayload news;
-  news.item_profile = profile_with(7);
+  news.item_profile = CompactProfile::encode(profile_with(7));
   m.payload = news;
   EXPECT_EQ(model.bytes(m), model.transport_header + model.app_header + model.news_base +
                                 model.news_meta + 7 * model.item_profile_entry);

@@ -99,7 +99,7 @@ TEST(WhatsUpNode, LikeFoldsOwnProfileIntoItemProfile) {
   fx.deliver(item(1));  // builds history: profile now has item 1
   fx.deliver(item(2));  // likes item 2 -> folds profile (item 1) into P^I
   ASSERT_EQ(fx.sink->news.size(), 2u);
-  const Profile& forwarded = fx.sink->news[1].item_profile;
+  const Profile forwarded = fx.sink->news[1].item_profile.decode();
   EXPECT_TRUE(forwarded.contains(10001));  // prior like travels with the item
   EXPECT_EQ(forwarded.score(10001).value(), 1.0);
 }
@@ -110,9 +110,11 @@ TEST(WhatsUpNode, FoldAveragesWithIncomingItemProfile) {
   fx.opinions.like(1, 2);
   fx.deliver(item(1));  // profile: {10001 -> 1}
   net::NewsPayload incoming = item(2);
-  incoming.item_profile.set(10001, 0, 0.0);  // path disagrees about item 1
+  Profile path;
+  path.set(10001, 0, 0.0);  // path disagrees about item 1
+  incoming.item_profile = CompactProfile::encode(path);
   fx.deliver(std::move(incoming));
-  const Profile& forwarded = fx.sink->news[1].item_profile;
+  const Profile forwarded = fx.sink->news[1].item_profile.decode();
   EXPECT_EQ(forwarded.score(10001).value(), 0.5);  // (0 + 1) / 2
 }
 
@@ -125,7 +127,7 @@ TEST(WhatsUpNode, DislikeDoesNotFoldProfile) {
   const net::NewsPayload& fwd = fx.sink->news[1];
   EXPECT_TRUE(fwd.via_dislike);
   EXPECT_EQ(fwd.dislikes, 1);
-  EXPECT_FALSE(fwd.item_profile.contains(10001));  // profile NOT folded
+  EXPECT_FALSE(fwd.item_profile.decode().contains(10001));  // profile NOT folded
 }
 
 TEST(WhatsUpNode, DislikedItemAtTtlIsDropped) {
@@ -176,8 +178,9 @@ TEST(WhatsUpNode, PublishSeedsItemProfileFromOwnProfile) {
   EXPECT_EQ(published.index, 7u);
   EXPECT_EQ(published.origin, 1u);
   EXPECT_EQ(published.hops, 1);
-  EXPECT_TRUE(published.item_profile.contains(10007));  // the item itself
-  EXPECT_TRUE(published.item_profile.contains(10001));  // prior history
+  const Profile published_profile = published.item_profile.decode();
+  EXPECT_TRUE(published_profile.contains(10007));  // the item itself
+  EXPECT_TRUE(published_profile.contains(10001));  // prior history
 }
 
 TEST(WhatsUpNode, ProfileWindowPurgesOldEntries) {
@@ -198,10 +201,12 @@ TEST(WhatsUpNode, StaleItemProfileEntriesPurgedBeforeForward) {
   fx.engine.run_cycles(20);  // advance the clock well past the window
   fx.opinions.like(1, 4);
   net::NewsPayload incoming = item(4, /*created=*/20);
-  incoming.item_profile.set(777, /*timestamp=*/0, 1.0);  // ancient entry
+  Profile path;
+  path.set(777, /*timestamp=*/0, 1.0);  // ancient entry
+  incoming.item_profile = CompactProfile::encode(path);
   fx.deliver(std::move(incoming));
   ASSERT_EQ(fx.sink->news.size(), 1u);
-  EXPECT_FALSE(fx.sink->news[0].item_profile.contains(777));  // Alg. 1 lines 8-10
+  EXPECT_FALSE(fx.sink->news[0].item_profile.decode().contains(777));  // Alg. 1 lines 8-10
 }
 
 }  // namespace

@@ -253,7 +253,7 @@ TEST(Wire, NewsMessageRoundTrip) {
   n.dislikes = 3;
   n.hops = 4;
   n.via_dislike = true;
-  n.item_profile = real_profile();
+  n.item_profile = CompactProfile::encode(real_profile());
   m.payload = std::move(n);
   const Message out = roundtrip_message(m);
   const NewsPayload& r = out.news();
@@ -264,7 +264,7 @@ TEST(Wire, NewsMessageRoundTrip) {
   EXPECT_EQ(r.dislikes, 3);
   EXPECT_EQ(r.hops, 4);
   EXPECT_TRUE(r.via_dislike);
-  EXPECT_EQ(r.item_profile.get(), real_profile());
+  EXPECT_EQ(r.item_profile.decode(), real_profile());
 }
 
 TEST(Wire, NewsMessageRoundTripEmptyItemProfile) {
@@ -279,7 +279,7 @@ TEST(Wire, NewsMessageRoundTripEmptyItemProfile) {
   n.index = 0;
   m.payload = std::move(n);
   const Message out = roundtrip_message(m);
-  EXPECT_TRUE(out.news().item_profile.empty());
+  EXPECT_TRUE(out.news().item_profile == nullptr);
   EXPECT_FALSE(out.news().via_dislike);
 }
 
@@ -327,7 +327,7 @@ TEST(Wire, TruncatedMessagesAreRejectedAtEveryLength) {
     NewsPayload n;
     n.id = 7;
     n.index = 3;
-    n.item_profile = wide_binary_profile();
+    n.item_profile = CompactProfile::encode(wide_binary_profile());
     m.payload = std::move(n);
     corpus.push_back(std::move(m));
   }
