@@ -161,9 +161,9 @@ void BM_ViewMergeClosest(benchmark::State& state) {
 }
 BENCHMARK(BM_ViewMergeClosest)->Arg(30)->Arg(70)->Arg(150);
 
-// Outgoing-descriptor materialization: seed behavior (deep copy per send)
-// vs the shipped ProfileSnapshotCache (shared snapshot until the profile
-// version changes).
+// Outgoing-descriptor materialization: seed behavior (a fresh snapshot
+// encoded per send) vs the shipped ProfileSnapshotCache (one snapshot per
+// profile generation, reused until the version changes).
 void BM_DescriptorDeepCopy(benchmark::State& state) {
   Rng rng(8);
   const Profile profile = random_profile(rng, 60, 240);
@@ -188,9 +188,8 @@ BENCHMARK(BM_DescriptorSnapshotCache);
 // ---- Compact profile codec (profile/compact.hpp) --------------------------
 //
 // The storage layer under every descriptor: varint-delta encode of a
-// profile into an interned record, and decode-on-demand into thread-local
-// SoA scratch. The scratch ring caches by version, so the *_Materialize
-// row alternates two generations to defeat the cache and pay the decode.
+// profile into a detached slab record, and the full decode the cold paths
+// pay (the scoring loops read the record itself: BM_WupSimilarityKernel).
 void BM_CompactEncode(benchmark::State& state) {
   Rng rng(8);
   const auto size = static_cast<std::size_t>(state.range(0));

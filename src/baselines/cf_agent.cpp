@@ -14,22 +14,28 @@ void CfAgent::bootstrap_rps(std::vector<net::Descriptor> seed) {
   rps_.bootstrap(std::move(seed));
 }
 
+net::Descriptor CfAgent::self_descriptor(Cycle now) {
+  return net::Descriptor{self_, snapshot_cache_.stamp(now, profile_)};
+}
+
 void CfAgent::on_cycle(sim::Context& ctx) {
   profile_.purge_older_than(ctx.now() - params_.profile_window);
-  rps_.step(ctx, profile_);
-  knn_.step(ctx, profile_, rps_.view());
+  const net::Descriptor self = self_descriptor(ctx.now());
+  rps_.step(ctx, self);
+  knn_.step(ctx, self, rps_.view());
 }
 
 void CfAgent::on_message(sim::Context& ctx, const net::Message& message) {
   switch (message.type) {
     case net::MsgType::kRpsRequest:
-      rps_.on_request(ctx, message.view(), profile_);
+      rps_.on_request(ctx, message.view(), self_descriptor(ctx.now()));
       break;
     case net::MsgType::kRpsReply:
       rps_.on_reply(ctx, message.view());
       break;
     case net::MsgType::kWupRequest:
-      knn_.on_request(ctx, message.view(), profile_, rps_.view());
+      knn_.on_request(ctx, message.view(), self_descriptor(ctx.now()), profile_,
+                      rps_.view());
       break;
     case net::MsgType::kWupReply:
       knn_.on_reply(ctx, message.view(), profile_, rps_.view());

@@ -9,6 +9,7 @@
 
 #include "gossip/clustering_protocol.hpp"
 #include "gossip/rps.hpp"
+#include "profile/snapshot.hpp"
 #include "sim/engine.hpp"
 #include "sim/opinions.hpp"
 #include "whatsup/params.hpp"
@@ -33,11 +34,14 @@ class CfAgent : public sim::Agent {
  private:
   void handle_news(sim::Context& ctx, net::NewsPayload news);
   void forward_to_neighbors(sim::Context& ctx, net::NewsPayload news);
+  // This node's own fresh descriptor at `now`, shipped by RPS and k-NN.
+  net::Descriptor self_descriptor(Cycle now);
 
   NodeId self_;
   Params params_;
   const sim::Opinions* opinions_;
   Profile profile_;
+  ProfileSnapshotCache snapshot_cache_;
   gossip::Rps rps_;
   gossip::ClusteringProtocol knn_;
   std::unordered_set<ItemId> seen_;

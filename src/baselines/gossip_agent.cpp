@@ -13,12 +13,12 @@ void GossipAgent::bootstrap_rps(std::vector<net::Descriptor> seed) {
   rps_.bootstrap(std::move(seed));
 }
 
-void GossipAgent::on_cycle(sim::Context& ctx) { rps_.step(ctx, profile_); }
+void GossipAgent::on_cycle(sim::Context& ctx) { rps_.step(ctx, self_descriptor(ctx.now())); }
 
 void GossipAgent::on_message(sim::Context& ctx, const net::Message& message) {
   switch (message.type) {
     case net::MsgType::kRpsRequest:
-      rps_.on_request(ctx, message.view(), profile_);
+      rps_.on_request(ctx, message.view(), self_descriptor(ctx.now()));
       break;
     case net::MsgType::kRpsReply:
       rps_.on_reply(ctx, message.view());

@@ -27,11 +27,15 @@ class GossipAgent : public sim::Agent {
 
  private:
   void spread(sim::Context& ctx, net::NewsPayload news, bool liked);
+  // Plain gossip keeps no profile: its RPS descriptors carry the shared
+  // empty snapshot.
+  net::Descriptor self_descriptor(Cycle now) const {
+    return net::Descriptor{self_, now, empty_profile_handle()};
+  }
 
   NodeId self_;
   int fanout_;
   const sim::Opinions* opinions_;
-  Profile profile_;  // stays empty; RPS descriptors still carry it
   gossip::Rps rps_;
   std::unordered_set<ItemId> seen_;
 };

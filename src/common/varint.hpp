@@ -59,32 +59,45 @@ inline std::int64_t zigzag_decode(std::uint64_t v) {
   return static_cast<std::int64_t>(v >> 1) ^ -static_cast<std::int64_t>(v & 1);
 }
 
+// The sequence codec reads and writes any integer element type through a
+// u64 lane: signed values sign-extend (a negative int32 Cycle codes exactly
+// as its int64 value), unsigned ones zero-extend, and decoding narrows the
+// running sum back. No wide staging copy is needed on either side.
+template <typename T>
+inline std::uint64_t delta_lane(T value) {
+  return static_cast<std::uint64_t>(static_cast<std::int64_t>(value));
+}
+
 // Encoded size of `values[0..n)` as zigzag'd consecutive deltas (the first
 // delta is against 0).
-inline std::size_t delta_encoded_size(const std::uint64_t* values, std::size_t n) {
+template <typename T>
+inline std::size_t delta_encoded_size(const T* values, std::size_t n) {
   std::size_t bytes = 0;
   std::uint64_t prev = 0;
   for (std::size_t i = 0; i < n; ++i) {
-    bytes += varint_size(zigzag_encode(static_cast<std::int64_t>(values[i] - prev)));
-    prev = values[i];
+    const std::uint64_t v = delta_lane(values[i]);
+    bytes += varint_size(zigzag_encode(static_cast<std::int64_t>(v - prev)));
+    prev = v;
   }
   return bytes;
 }
 
-template <typename Sink>
-inline void delta_encode(Sink& out, const std::uint64_t* values, std::size_t n) {
+template <typename Sink, typename T>
+inline void delta_encode(Sink& out, const T* values, std::size_t n) {
   std::uint64_t prev = 0;
   for (std::size_t i = 0; i < n; ++i) {
-    varint_append(out, zigzag_encode(static_cast<std::int64_t>(values[i] - prev)));
-    prev = values[i];
+    const std::uint64_t v = delta_lane(values[i]);
+    varint_append(out, zigzag_encode(static_cast<std::int64_t>(v - prev)));
+    prev = v;
   }
 }
 
-inline void delta_decode(const std::uint8_t*& p, std::uint64_t* out, std::size_t n) {
+template <typename T>
+inline void delta_decode(const std::uint8_t*& p, T* out, std::size_t n) {
   std::uint64_t prev = 0;
   for (std::size_t i = 0; i < n; ++i) {
     prev += static_cast<std::uint64_t>(zigzag_decode(varint_read(p)));
-    out[i] = prev;
+    out[i] = static_cast<T>(static_cast<std::int64_t>(prev));
   }
 }
 

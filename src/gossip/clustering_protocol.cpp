@@ -13,16 +13,15 @@ void ClusteringProtocol::bootstrap(std::vector<net::Descriptor> seed) {
   }
 }
 
-net::ViewPayload ClusteringProtocol::make_payload(sim::Context& ctx,
-                                                  const Profile& own_profile) const {
+net::ViewPayload ClusteringProtocol::make_payload(const net::Descriptor& self) const {
   net::ViewPayload payload;
-  payload.sender = net::Descriptor{self_, snapshot_cache_.stamp(ctx.now(), own_profile)};
+  payload.sender = self;
   payload.view = view_.entries();  // the ENTIRE view (§II)
   return payload;
 }
 
-void ClusteringProtocol::step(sim::Context& ctx, const Profile& own_profile,
-                              const View& rps_view, const Profile* disclosed) {
+void ClusteringProtocol::step(sim::Context& ctx, const net::Descriptor& self,
+                              const View& rps_view) {
   if (period_ > 1 && ctx.now() % period_ != 0) return;
   NodeId to = kNoNode;
   if (const net::Descriptor* oldest = view_.oldest(); oldest != nullptr) {
@@ -31,15 +30,13 @@ void ClusteringProtocol::step(sim::Context& ctx, const Profile& own_profile,
     to = rps_view.random_member(ctx.rng());  // bootstrap out of an empty view
   }
   if (to == kNoNode) return;
-  ctx.send(to, net::MsgType::kWupRequest,
-           make_payload(ctx, disclosed != nullptr ? *disclosed : own_profile));
+  ctx.send(to, net::MsgType::kWupRequest, make_payload(self));
 }
 
 void ClusteringProtocol::on_request(sim::Context& ctx, const net::ViewPayload& payload,
-                                    const Profile& own_profile, const View& rps_view,
-                                    const Profile* disclosed) {
-  ctx.send(payload.sender.node, net::MsgType::kWupReply,
-           make_payload(ctx, disclosed != nullptr ? *disclosed : own_profile));
+                                    const net::Descriptor& self, const Profile& own_profile,
+                                    const View& rps_view) {
+  ctx.send(payload.sender.node, net::MsgType::kWupReply, make_payload(self));
   merge(ctx, payload, own_profile, rps_view);
 }
 

@@ -11,7 +11,6 @@
 #pragma once
 
 #include "gossip/view.hpp"
-#include "profile/snapshot.hpp"
 #include "sim/engine.hpp"
 
 namespace whatsup::gossip {
@@ -26,17 +25,18 @@ class ClusteringProtocol {
 
   void bootstrap(std::vector<net::Descriptor> seed);
 
-  // Active thread; `rps_view` provides the random candidate stream and the
-  // fallback gossip target while the WUP view is still empty.
-  // `own_profile` drives the similarity-based view selection (always the
-  // node's TRUE profile); `disclosed`, when non-null, is the snapshot
-  // shipped in outgoing descriptors instead (profile obfuscation, §VII).
-  void step(sim::Context& ctx, const Profile& own_profile, const View& rps_view,
-            const Profile* disclosed = nullptr);
+  // Active thread; `rps_view` provides the fallback gossip target while
+  // the WUP view is still empty. `self` is the node's own fresh
+  // descriptor, stamped by its agent with the profile it discloses (an
+  // obfuscated snapshot under §VII's profile obfuscation).
+  void step(sim::Context& ctx, const net::Descriptor& self, const View& rps_view);
 
+  // Passive thread. `own_profile` drives the similarity-based view
+  // selection (always the node's TRUE profile); `rps_view` feeds it fresh
+  // random candidates.
   void on_request(sim::Context& ctx, const net::ViewPayload& payload,
-                  const Profile& own_profile, const View& rps_view,
-                  const Profile* disclosed = nullptr);
+                  const net::Descriptor& self, const Profile& own_profile,
+                  const View& rps_view);
   void on_reply(sim::Context& ctx, const net::ViewPayload& payload,
                 const Profile& own_profile, const View& rps_view);
 
@@ -45,8 +45,7 @@ class ClusteringProtocol {
   double avg_similarity(const Profile& own_profile) const;
 
  private:
-  // Takes the context to stamp the send cycle.
-  net::ViewPayload make_payload(sim::Context& ctx, const Profile& own_profile) const;
+  net::ViewPayload make_payload(const net::Descriptor& self) const;
   void merge(sim::Context& ctx, const net::ViewPayload& payload,
              const Profile& own_profile, const View& rps_view);
 
@@ -54,9 +53,6 @@ class ClusteringProtocol {
   View view_;
   Metric metric_;
   Cycle period_;
-  // Outgoing descriptors reuse one immutable snapshot until the disclosed
-  // profile's version changes (perf only — see docs/perf.md).
-  mutable ProfileSnapshotCache snapshot_cache_;
 };
 
 }  // namespace whatsup::gossip

@@ -12,31 +12,25 @@ void Rps::bootstrap(std::vector<net::Descriptor> seed) {
   }
 }
 
-net::Descriptor Rps::self_descriptor(Cycle now, const Profile& own_profile) const {
-  // The cache reuses one stamp record while (version, cycle) is unchanged,
-  // so repeated sends within a cycle share the arena entry.
-  return net::Descriptor{self_, snapshot_cache_.stamp(now, own_profile)};
-}
-
-net::ViewPayload Rps::make_payload(sim::Context& ctx, const Profile& own_profile) {
+net::ViewPayload Rps::make_payload(sim::Context& ctx, const net::Descriptor& self) {
   net::ViewPayload payload;
-  payload.sender = self_descriptor(ctx.now(), own_profile);
+  payload.sender = self;
   // Half of the view, as is typical for peer-sampling exchanges (§II).
   payload.view = view_.random_subset(ctx.rng(), (view_.size() + 1) / 2);
   return payload;
 }
 
-void Rps::step(sim::Context& ctx, const Profile& own_profile) {
+void Rps::step(sim::Context& ctx, const net::Descriptor& self) {
   if (period_ > 1 && ctx.now() % period_ != 0) return;
   const net::Descriptor* target = view_.oldest();
   if (target == nullptr) return;
   const NodeId to = target->node;
-  ctx.send(to, net::MsgType::kRpsRequest, make_payload(ctx, own_profile));
+  ctx.send(to, net::MsgType::kRpsRequest, make_payload(ctx, self));
 }
 
 void Rps::on_request(sim::Context& ctx, const net::ViewPayload& payload,
-                     const Profile& own_profile) {
-  ctx.send(payload.sender.node, net::MsgType::kRpsReply, make_payload(ctx, own_profile));
+                     const net::Descriptor& self) {
+  ctx.send(payload.sender.node, net::MsgType::kRpsReply, make_payload(ctx, self));
   merge(ctx, payload);
 }
 

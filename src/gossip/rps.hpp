@@ -7,7 +7,6 @@
 #pragma once
 
 #include "gossip/view.hpp"
-#include "profile/snapshot.hpp"
 #include "sim/engine.hpp"
 
 namespace whatsup::gossip {
@@ -24,26 +23,23 @@ class Rps {
   void bootstrap(std::vector<net::Descriptor> seed);
 
   // Active thread: run once per cycle; gossips every `period` cycles.
-  // `own_profile` is the profile DISCLOSED in the gossiped descriptor —
-  // privacy-conscious nodes pass an obfuscated snapshot (§VII).
-  void step(sim::Context& ctx, const Profile& own_profile);
+  // `self` is the node's own fresh descriptor, stamped by its agent with
+  // the profile it DISCLOSES — privacy-conscious nodes disclose an
+  // obfuscated snapshot (§VII).
+  void step(sim::Context& ctx, const net::Descriptor& self);
 
   // Passive thread.
   void on_request(sim::Context& ctx, const net::ViewPayload& payload,
-                  const Profile& own_profile);
+                  const net::Descriptor& self);
   void on_reply(sim::Context& ctx, const net::ViewPayload& payload);
 
  private:
-  net::Descriptor self_descriptor(Cycle now, const Profile& own_profile) const;
-  net::ViewPayload make_payload(sim::Context& ctx, const Profile& own_profile);
+  net::ViewPayload make_payload(sim::Context& ctx, const net::Descriptor& self);
   void merge(sim::Context& ctx, const net::ViewPayload& payload);
 
   NodeId self_;
   View view_;
   Cycle period_;
-  // Outgoing descriptors share one immutable snapshot until the disclosed
-  // profile's version changes (perf only; see docs/perf.md).
-  mutable ProfileSnapshotCache snapshot_cache_;
 };
 
 }  // namespace whatsup::gossip

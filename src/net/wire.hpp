@@ -2,9 +2,8 @@
 // fragment-partitioned engine ships across worker processes at cycle
 // barriers (sim/transport.hpp).
 //
-// In memory, profiles travel as interned handles (profile/compact.hpp) and
-// item profiles as CoW references, both meaningless outside the owning
-// process. The codec here serializes CONTENTS, never process-local
+// In memory, profiles and item profiles travel as arena handles
+// (profile/compact.hpp), meaningless outside the owning process. The codec here serializes CONTENTS, never process-local
 // identities:
 //
 //  * profile snapshots ship as delta-coded entry triplets (the same LEB128

@@ -98,8 +98,6 @@ void Snapshot::absorb(const metrics::Tracker& tracker) {
 
 void Snapshot::absorb_arena() {
   const SnapshotArena::Stats a = SnapshotArena::instance().stats();
-  set_gauge("arena.entries", a.entries);
-  set_gauge("arena.live", a.live);
   set_gauge("arena.interned", a.interned);
   set_gauge("arena.intern_hits", a.reused);
   set_gauge("arena.purged", a.purged);

@@ -6,14 +6,11 @@
 #include <vector>
 
 #include "common/varint.hpp"
+#include "obs/registry.hpp"
 
 namespace whatsup {
 
 namespace {
-
-// Scratch staging for the sign-extended timestamp lanes (stack for the
-// common small profile, heap spill only for window-sized ones).
-using WideArray = SmallVector<std::uint64_t, Profile::kInlineEntries * 2>;
 
 bool all_binary(std::span<const double> scores) {
   for (const double s : scores) {
@@ -48,12 +45,6 @@ void CompactProfile::init_from(const Profile& profile) {
   oldest_ = kNoOldest;
   for (const Cycle t : timestamps) oldest_ = std::min(oldest_, t);
 
-  WideArray wide;
-  wide.resize(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    wide[i] = static_cast<std::uint64_t>(static_cast<std::int64_t>(timestamps[i]));
-  }
-
   // The exact size is known up front, so the bytes are written through a
   // raw cursor: no capacity check per byte (a like hop encodes a
   // real-valued item profile, ~10 bytes per entry).
@@ -63,7 +54,7 @@ void CompactProfile::init_from(const Profile& profile) {
   };
   const std::size_t score_bytes = binary ? (n + 7) / 8 : n * sizeof(double);
   bytes_.resize(score_bytes + delta_encoded_size(ids.data(), n) +
-                delta_encoded_size(wide.data(), n));
+                delta_encoded_size(timestamps.data(), n));
   Cursor out{bytes_.data()};
   if (binary) {
     for (std::size_t base = 0; base < n; base += 8) {
@@ -82,7 +73,7 @@ void CompactProfile::init_from(const Profile& profile) {
     }
   }
   delta_encode(out, ids.data(), n);
-  delta_encode(out, wide.data(), n);
+  delta_encode(out, timestamps.data(), n);
 }
 
 ProfileHandle CompactProfile::encode(const Profile& profile) {
@@ -108,13 +99,7 @@ void CompactProfile::decode_into(Profile& out) const {
   }
   const std::uint8_t* p = id_deltas();
   delta_decode(p, out.ids_.data(), n);
-  // Timestamps decode straight into the narrow array: delta_decode's
-  // running sum, narrowed per entry (no wide staging buffer to allocate).
-  std::uint64_t prev = 0;
-  for (std::size_t i = 0; i < n; ++i) {
-    prev += static_cast<std::uint64_t>(zigzag_decode(varint_read(p)));
-    out.timestamps_[i] = static_cast<Cycle>(static_cast<std::int64_t>(prev));
-  }
+  delta_decode(p, out.timestamps_.data(), n);
   out.liked_ = liked_;
   out.version_ = version_;
   out.cached_norm_ = norm_;
@@ -129,7 +114,7 @@ Profile ProfileHandle::decode() const {
 
 ProfileHandle ProfileHandle::snapshot(const Profile& profile) {
   if (profile.version() == 0) return empty_profile_handle();
-  return SnapshotArena::instance().intern(profile);
+  return SnapshotArena::instance().encode_detached(profile);
 }
 
 const ProfileHandle& empty_profile_handle() {
@@ -182,6 +167,10 @@ ArenaIndex SnapshotArena::encode_record(SlabPool<CompactProfile>& pool, ArenaInd
 }
 
 ArenaIndex SnapshotArena::encode_blob(const Profile& profile) {
+  if (obs::enabled()) {
+    static const obs::MetricId encodes = obs::counter("arena.snapshot.encodes");
+    obs::add(encodes);
+  }
   return encode_record(blob_pool_, 0, profile);
 }
 
@@ -208,6 +197,10 @@ void SnapshotArena::free_stamp(ArenaIndex index, StampRecord* rec) {
 
 ArenaIndex SnapshotArena::make_stamp(Cycle timestamp,
                                      const ProfileHandle& profile) {
+  if (obs::enabled()) {
+    static const obs::MetricId creates = obs::counter("arena.stamp.creates");
+    obs::add(creates);
+  }
   const ArenaIndex index = stamp_pool_.allocate();
   StampRecord* rec = stamp_pool_.get(index);
   rec->timestamp = timestamp;
@@ -225,39 +218,21 @@ ProfileHandle SnapshotArena::encode_detached(const Profile& profile) {
   return ProfileHandle::adopt(encode_blob(profile));
 }
 
-void SnapshotArena::sweep_shard(Shard& shard) {
-  for (auto it = shard.map.begin(); it != shard.map.end();) {
+void SnapshotArena::sweep_content() {
+  for (auto it = content_.begin(); it != content_.end();) {
     const CompactProfile* record = blob_pool_.get(it->second);
     // ref_count() == 1 means the table holds the only reference: no
-    // descriptor anywhere still ships this generation (see the revive-race
-    // note on SnapshotArena::Shard).
+    // descriptor anywhere still ships this snapshot (see the revive-race
+    // note on content_mu_).
     if (record->ref_count() == 1) {
       record->release();
-      it = shard.map.erase(it);
-      ++shard.purged;
+      it = content_.erase(it);
+      ++purged_;
     } else {
       ++it;
     }
   }
-  shard.sweep_at = shard.map.size() < 32 ? 64 : shard.map.size() * 2;
-}
-
-ProfileHandle SnapshotArena::intern(const Profile& profile) {
-  const std::uint64_t version = profile.version();
-  Shard& shard = version_shards_[version % kShardCount];
-  std::lock_guard<std::mutex> lock(shard.mu);
-  if (auto it = shard.map.find(version); it != shard.map.end()) {
-    ++shard.reused;
-    const CompactProfile* record = blob_pool_.get(it->second);
-    record->retain();
-    return ProfileHandle::adopt(it->second);
-  }
-  const ArenaIndex slot = encode_blob(profile);
-  blob_pool_.get(slot)->retain();  // the table's own reference
-  shard.map.emplace(version, slot);
-  ++shard.interned;
-  if (shard.map.size() >= shard.sweep_at) sweep_shard(shard);
-  return ProfileHandle::adopt(slot);
+  sweep_at_ = content_.size() < 32 ? 64 : content_.size() * 2;
 }
 
 ProfileHandle SnapshotArena::intern_by_content(const Profile& profile) {
@@ -273,15 +248,14 @@ ProfileHandle SnapshotArena::intern_by_content(const Profile& profile) {
                 sizeof(header));
   key = fnv1a64(key, record->bytes_.data(), record->bytes_.size());
 
-  Shard& shard = content_shards_[key % kShardCount];
-  std::lock_guard<std::mutex> lock(shard.mu);
-  if (auto it = shard.map.find(key); it != shard.map.end()) {
+  std::lock_guard<std::mutex> lock(content_mu_);
+  if (auto it = content_.find(key); it != content_.end()) {
     const CompactProfile* existing = blob_pool_.get(it->second);
     if (existing->count_ == record->count_ &&
         existing->liked_ == record->liked_ &&
         existing->flags_ == record->flags_ &&
         existing->bytes_ == record->bytes_) {
-      ++shard.reused;
+      ++reused_;
       existing->retain();
       return ProfileHandle::adopt(it->second);  // `fresh` frees on return
     }
@@ -290,51 +264,25 @@ ProfileHandle SnapshotArena::intern_by_content(const Profile& profile) {
     return fresh;
   }
   record->retain();  // the table's own reference
-  shard.map.emplace(key, fresh.slot());
-  ++shard.interned;
-  if (shard.map.size() >= shard.sweep_at) sweep_shard(shard);
+  content_.emplace(key, fresh.slot());
+  ++interned_;
+  if (content_.size() >= sweep_at_) sweep_content();
   return fresh;
 }
 
-void SnapshotArena::advance_epoch() {
-  const std::uint64_t epoch = epoch_.fetch_add(1, std::memory_order_relaxed);
-  {
-    Shard& shard = version_shards_[epoch % kShardCount];
-    std::lock_guard<std::mutex> lock(shard.mu);
-    sweep_shard(shard);
-  }
-  {
-    Shard& shard = content_shards_[epoch % kShardCount];
-    std::lock_guard<std::mutex> lock(shard.mu);
-    sweep_shard(shard);
-  }
-}
-
 void SnapshotArena::purge_dead() {
-  for (Shard* shards : {version_shards_, content_shards_}) {
-    for (std::size_t i = 0; i < kShardCount; ++i) {
-      Shard& shard = shards[i];
-      std::lock_guard<std::mutex> lock(shard.mu);
-      sweep_shard(shard);
-    }
-  }
+  std::lock_guard<std::mutex> lock(content_mu_);
+  sweep_content();
 }
 
 SnapshotArena::Stats SnapshotArena::stats() const {
   Stats stats;
-  for (const Shard* shards : {version_shards_, content_shards_}) {
-    for (std::size_t i = 0; i < kShardCount; ++i) {
-      const Shard& shard = shards[i];
-      std::lock_guard<std::mutex> lock(shard.mu);
-      stats.entries += shard.map.size();
-      for (const auto& [key, slot] : shard.map) {
-        (void)key;
-        if (blob_pool_.get(slot)->ref_count() > 1) ++stats.live;
-      }
-      stats.interned += shard.interned;
-      stats.reused += shard.reused;
-      stats.purged += shard.purged;
-    }
+  {
+    std::lock_guard<std::mutex> lock(content_mu_);
+    stats.entries = content_.size();
+    stats.interned = interned_;
+    stats.reused = reused_;
+    stats.purged = purged_;
   }
   stats.spill_bytes = spill_bytes_.load(std::memory_order_relaxed);
   stats.blobs = blob_pool_.stats();

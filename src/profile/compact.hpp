@@ -34,15 +34,15 @@
 //    timestamp itself stored inline, costing no arena record at all.
 //  * `SnapshotArena` — the process-wide slab arena: chunked pools with
 //    per-chunk freelists (empty chunks are retired and their slabs freed —
-//    the "compaction" step), a version-keyed intern table so every local
-//    generation is encoded once, and a content-keyed intern table so the
-//    wire codec re-interns identical snapshots arriving repeatedly from
-//    other fragments. Dead interned generations are purged epoch-wise: the
-//    engine advances the epoch each cycle, sweeping one shard of each
-//    table, and inserts amortize a sweep so the tables stay bounded even
-//    without an engine. Un-interned records and stamp records free
-//    immediately when their last holder drops. News item profiles are
-//    detached records in a pool of their own (item_record below).
+//    the "compaction" step) and a content-keyed intern table so the wire
+//    codec re-interns identical snapshots arriving repeatedly from other
+//    fragments. A local profile generation is encoded once per node, by
+//    the node's ProfileSnapshotCache (profile/snapshot.hpp), into a
+//    DETACHED record; detached records and stamp records free as soon as
+//    their last holder drops. The content table owns a reference per
+//    entry, so its dead entries are swept when it doubles past its last
+//    swept size. News item profiles are detached records in a pool of
+//    their own (item_record below).
 #pragma once
 
 #include <atomic>
@@ -76,8 +76,9 @@ inline constexpr ArenaIndex kItemRecordTag = 1u << 30;
 class CompactProfile {
  public:
   // Encodes an immutable DETACHED record of `profile`'s current contents
-  // (no intern-table entry; freed when the last handle drops). Hot paths
-  // intern via ProfileHandle::snapshot / SnapshotArena instead.
+  // (no intern-table entry; freed when the last handle drops). Descriptor
+  // snapshots go through ProfileHandle::snapshot instead, which shares one
+  // record among all empty profiles.
   static ProfileHandle encode(const Profile& profile);
 
   // Restores the exact source contents (ids/timestamps/scores, version,
@@ -130,8 +131,8 @@ class CompactProfile {
   void init_from(const Profile& profile);
 
   // Intrusive reference count: one count per live ProfileHandle (plus one
-  // per stamp record referencing this blob, plus one held by an intern
-  // table while the record is interned). Atomic because descriptors
+  // per stamp record referencing this blob, plus one held by the content
+  // table while the record is interned there). Atomic because descriptors
   // holding the same record are copied and dropped from concurrent shard
   // workers. The release slow path returns the slot to the arena.
   void retain() const { refs_.fetch_add(1, std::memory_order_relaxed); }
@@ -175,8 +176,8 @@ struct StampRecord {
 // are lock-free (an atomic chunk-pointer table); allocate/free take the
 // pool mutex. A chunk whose records all died is RETIRED — its slab is
 // freed and its slots leave the freelist — and lazily revived (fresh slab)
-// if the pool grows again: epoch purge thereby compacts the arena instead
-// of only recycling slots.
+// if the pool grows again: freeing dead generations thereby compacts the
+// arena instead of only recycling slots.
 template <typename Record>
 class SlabPool {
  public:
@@ -355,8 +356,10 @@ class ProfileHandle {
     return handle;
   }
 
-  // Interned snapshot of `profile`'s current contents (the replacement for
-  // make_shared<const Profile>(profile) everywhere descriptors are built).
+  // A detached snapshot of `profile`'s current contents; every empty
+  // (version-0) profile shares empty_profile_handle(). Send paths go
+  // through their node's ProfileSnapshotCache, which encodes each
+  // generation once.
   static ProfileHandle snapshot(const Profile& profile);
 
   // A decoded copy of the snapshot (cold paths; the scoring loops read
@@ -490,12 +493,6 @@ class SnapshotArena {
   // a guard check + load, not a cross-TU call.
   static SnapshotArena& instance();
 
-  // Returns a handle on the process-wide record for `profile`'s current
-  // version, encoding it on first sight. Version equality implies content
-  // equality (profile.hpp), so the record is shareable by construction.
-  // Thread-safe.
-  ProfileHandle intern(const Profile& profile);
-
   // Content-keyed intern for snapshots arriving over the wire: the
   // sender's version stamps are process-local and meaningless here, so
   // identical payloads re-arriving across fragment barriers must dedupe by
@@ -505,29 +502,23 @@ class SnapshotArena {
   ProfileHandle intern_by_content(const Profile& profile);
 
   // Detached record: no intern-table entry, freed when the last reference
-  // drops (tests, the empty-profile singleton).
+  // drops (every local snapshot, the empty-profile singleton).
   ProfileHandle encode_detached(const Profile& profile);
 
   // A stamp record for (timestamp, profile); retains the blob. Returns the
   // new record's index with its initial reference owned by the caller.
   ArenaIndex make_stamp(Cycle timestamp, const ProfileHandle& profile);
 
-  // Epoch purge: sweeps ONE shard of each intern table, dropping entries
-  // whose record has no holder beyond the table's own reference, and
-  // retiring slab chunks left empty. The engine calls this once per cycle,
-  // so dead snapshot generations are reclaimed within kShardCount cycles
-  // of their last holder vanishing, at O(shard) cost per cycle.
-  void advance_epoch();
-
-  // Full sweep of every shard (tests and shutdown hygiene).
+  // Sweeps the content table now, dropping every entry whose record has
+  // no holder beyond the table's own reference (tests; inserts sweep on
+  // their own once the table doubles).
   void purge_dead();
 
   struct Stats {
-    std::size_t entries = 0;        // intern-table entries (both tables)
-    std::size_t live = 0;           // entries with a live outside holder
-    std::uint64_t interned = 0;     // records encoded via the tables
-    std::uint64_t reused = 0;       // intern hits on a live record
-    std::uint64_t purged = 0;       // dead entries swept
+    std::size_t entries = 0;        // content-table entries
+    std::uint64_t interned = 0;     // records the content table took in
+    std::uint64_t reused = 0;       // content-table hits on a live record
+    std::uint64_t purged = 0;       // dead content-table entries swept
     // Heap bytes live records of both record pools spilled past their
     // inline buffer (CompactProfile::spill_bytes); the pool stats count
     // slab slots only.
@@ -567,34 +558,14 @@ class SnapshotArena {
  private:
   SnapshotArena() = default;
 
-  // Versions are drawn from one global counter, so version % kShardCount
-  // round-robins the shards; content keys are hashes.
-  static constexpr std::size_t kShardCount = 64;
-
-  // A table owns one reference per entry; an entry whose record has
-  // ref_count() == 1 has no outside holder left and is swept. A version
-  // (or content key) cannot gain a new holder except through the interns
-  // (which take the shard mutex) or by copying an existing handle (none
-  // exist at count 1), so the sweep's release-and-erase under the mutex
-  // cannot race a revive.
-  struct Shard {
-    mutable std::mutex mu;
-    std::unordered_map<std::uint64_t, ArenaIndex> map;
-    // Inserts amortize a sweep once the map doubles past the last swept
-    // size, bounding dead-entry growth even without an engine epoch.
-    std::size_t sweep_at = 64;
-    std::uint64_t interned = 0;
-    std::uint64_t reused = 0;
-    std::uint64_t purged = 0;
-  };
-
   // Encodes a fresh record in `pool` (slot + init) and returns its index,
   // tagged with `tag`; the caller owns the reference.
   ArenaIndex encode_record(SlabPool<CompactProfile>& pool, ArenaIndex tag,
                            const Profile& profile);
   ArenaIndex encode_blob(const Profile& profile);  // the snapshot pool
-  // Drops every table-only entry of `shard` (caller holds shard.mu).
-  void sweep_shard(Shard& shard);
+  // Drops every table-only entry of the content table (caller holds
+  // content_mu_).
+  void sweep_content();
   // release_stamp slow path: frees `rec` (whose count just hit zero).
   void free_stamp(ArenaIndex index, StampRecord* rec);
 
@@ -602,9 +573,21 @@ class SnapshotArena {
   SlabPool<CompactProfile> item_pool_;
   SlabPool<StampRecord> stamp_pool_;
   std::atomic<std::size_t> spill_bytes_{0};  // Stats::spill_bytes
-  Shard version_shards_[kShardCount];
-  Shard content_shards_[kShardCount];
-  std::atomic<std::uint64_t> epoch_{0};
+
+  // The content table owns one reference per entry; an entry whose record
+  // has ref_count() == 1 has no outside holder left and is swept. A key
+  // cannot gain a new holder except through intern_by_content (which
+  // takes content_mu_) or by copying an existing handle (none exist at
+  // count 1), so the sweep's release-and-erase under the mutex cannot race
+  // a revive. The mutex serves engines decoding in parallel threads of one
+  // process (partitioned runs in tests).
+  mutable std::mutex content_mu_;
+  std::unordered_map<std::uint64_t, ArenaIndex> content_;
+  // Inserts sweep once the table doubles past its last swept size.
+  std::size_t sweep_at_ = 64;
+  std::uint64_t interned_ = 0;
+  std::uint64_t reused_ = 0;
+  std::uint64_t purged_ = 0;
 };
 
 // ---- inline definitions ---------------------------------------------------

@@ -839,11 +839,6 @@ void Engine::run_cycle() {
   }
   obs::add(om.cycles);
   for (const CycleHook& hook : hooks_) hook(*this, now_);
-  // Epoch purge of the global snapshot arena: one intern-table shard per
-  // cycle, between phases (no workers are running), so dead profile
-  // generations are reclaimed — and emptied slab chunks compacted away —
-  // incrementally instead of accumulating for the whole run.
-  SnapshotArena::instance().advance_epoch();
   ++now_;
 }
 

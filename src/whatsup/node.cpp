@@ -91,9 +91,13 @@ void WhatsUpAgent::bootstrap_wup(std::vector<net::Descriptor> seed) {
   wup_.bootstrap(std::move(seed));
 }
 
-const Profile& WhatsUpAgent::disclosed(Cycle now) {
-  // Only reachable behind config_.obfuscation.enabled(), so opt_in_ exists.
-  return opt_in_->obfuscation_cache.get(profile_, config_.obfuscation, self_, now);
+net::Descriptor WhatsUpAgent::self_descriptor(Cycle now) {
+  // opt_in_ exists whenever obfuscation is on.
+  const Profile& disclosed =
+      config_.obfuscation.enabled()
+          ? opt_in_->obfuscation_cache.get(profile_, config_.obfuscation, self_, now)
+          : profile_;
+  return net::Descriptor{self_, snapshot_cache_.stamp(now, disclosed)};
 }
 
 void WhatsUpAgent::pump_retransmissions(sim::Context& ctx) {
@@ -127,14 +131,9 @@ void WhatsUpAgent::on_cycle(sim::Context& ctx) {
     opt_in_->hygiene.evict_stale(wup_.view(), ctx.now());
   }
   if (config_.reliability.enabled) pump_retransmissions(ctx);
-  if (config_.obfuscation.enabled()) {
-    const Profile& snapshot = disclosed(ctx.now());
-    rps_.step(ctx, snapshot);
-    wup_.step(ctx, profile_, rps_.view(), &snapshot);
-  } else {
-    rps_.step(ctx, profile_);
-    wup_.step(ctx, profile_, rps_.view());
-  }
+  const net::Descriptor self = self_descriptor(ctx.now());
+  rps_.step(ctx, self);
+  wup_.step(ctx, self, rps_.view());
 }
 
 void WhatsUpAgent::on_message(sim::Context& ctx, const net::Message& message) {
@@ -144,22 +143,13 @@ void WhatsUpAgent::on_message(sim::Context& ctx, const net::Message& message) {
   }
   switch (message.type) {
     case net::MsgType::kRpsRequest:
-      if (config_.obfuscation.enabled()) {
-        rps_.on_request(ctx, message.view(), disclosed(ctx.now()));
-      } else {
-        rps_.on_request(ctx, message.view(), profile_);
-      }
+      rps_.on_request(ctx, message.view(), self_descriptor(ctx.now()));
       break;
     case net::MsgType::kRpsReply:
       rps_.on_reply(ctx, message.view());
       break;
     case net::MsgType::kWupRequest:
-      if (config_.obfuscation.enabled()) {
-        const Profile& snapshot = disclosed(ctx.now());
-        wup_.on_request(ctx, message.view(), profile_, rps_.view(), &snapshot);
-      } else {
-        wup_.on_request(ctx, message.view(), profile_, rps_.view());
-      }
+      wup_.on_request(ctx, message.view(), self_descriptor(ctx.now()), profile_, rps_.view());
       break;
     case net::MsgType::kWupReply:
       wup_.on_reply(ctx, message.view(), profile_, rps_.view());
@@ -190,12 +180,9 @@ void WhatsUpAgent::on_message(sim::Context& ctx, const net::Message& message) {
 void WhatsUpAgent::handle_rejoin_request(sim::Context& ctx,
                                          const net::ViewPayload& payload) {
   if (payload.sender.node == kNoNode || payload.sender.node == self_) return;
-  // Hand the joiner our full RPS view plus our own fresh descriptor
-  // (rejoin is a cold path: the deep-copy make_descriptor is fine).
+  // Hand the joiner our full RPS view plus our own fresh descriptor.
   net::ViewPayload reply;
-  reply.sender = net::make_descriptor(
-      self_, ctx.now(),
-      config_.obfuscation.enabled() ? disclosed(ctx.now()) : profile_);
+  reply.sender = self_descriptor(ctx.now());
   reply.view = rps_.view().entries();
   ctx.send(payload.sender.node, net::MsgType::kRejoinReply, std::move(reply));
   // Absorb the joiner so gossip re-spreads its descriptor quickly.
@@ -216,9 +203,7 @@ void WhatsUpAgent::on_recover(sim::Context& ctx) {
   const NodeId contact = ctx.random_active_peer();
   if (contact == kNoNode) return;
   net::ViewPayload hello;
-  hello.sender = net::make_descriptor(
-      self_, ctx.now(),
-      config_.obfuscation.enabled() ? disclosed(ctx.now()) : profile_);
+  hello.sender = self_descriptor(ctx.now());
   ctx.send(contact, net::MsgType::kRejoinRequest, std::move(hello));
 }
 

@@ -14,6 +14,7 @@
 #include "gossip/hygiene.hpp"
 #include "gossip/rps.hpp"
 #include "profile/obfuscation.hpp"
+#include "profile/snapshot.hpp"
 #include "sim/engine.hpp"
 #include "sim/opinions.hpp"
 #include "sim/reliability.hpp"
@@ -54,8 +55,9 @@ struct WhatsUpConfig {
 // `beep.item_profile.encodes` when telemetry is on.
 //
 // The steps run in Alg. 1's order, so the profiles draw their version
-// stamps in that order too. The snapshot arena's layout follows from those
-// stamps, and the wire link tables place snapshots by arena index.
+// stamps in that order too. The wire link tables key snapshots by version
+// and ship it as a varint, so the draw order shows in the bytes a
+// partitioned run sends (never in its trajectory).
 void like_item(ProfileHandle& item, Profile& user, ItemId id, Cycle created, Cycle cutoff);
 void dislike_item(ProfileHandle& item, Profile& user, ItemId id, Cycle created, Cycle cutoff);
 
@@ -103,9 +105,10 @@ class WhatsUpAgent : public sim::Agent {
   // hygiene suspicion limit.
   void pump_retransmissions(sim::Context& ctx);
 
-  // Disclosed-profile accessor: the cached obfuscated snapshot when
-  // obfuscation is on, the true profile otherwise.
-  const Profile& disclosed(Cycle now);
+  // This node's own fresh descriptor at `now`, carrying the profile it
+  // discloses: the cached obfuscated snapshot when obfuscation is on, the
+  // true profile otherwise. RPS, WUP and the rejoin handshake all ship it.
+  net::Descriptor self_descriptor(Cycle now);
 
   // State for the opt-in layers (reliability, view hygiene, obfuscation),
   // allocated only when at least one of them is configured on. The
@@ -131,6 +134,9 @@ class WhatsUpAgent : public sim::Agent {
   WhatsUpConfig config_;
   const sim::Opinions* opinions_;
   Profile profile_;  // the user profile P~ (binary scores)
+  // One snapshot record per disclosed generation and one stamp record per
+  // cycle, shared by every descriptor this node sends.
+  ProfileSnapshotCache snapshot_cache_;
   gossip::Rps rps_;
   gossip::ClusteringProtocol wup_;
   SortedIdSet<ItemId, 4> seen_;  // SIR "removed" state (flat sorted, inline)

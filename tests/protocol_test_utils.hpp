@@ -7,6 +7,7 @@
 
 #include "gossip/clustering_protocol.hpp"
 #include "gossip/rps.hpp"
+#include "profile/snapshot.hpp"
 #include "sim/engine.hpp"
 
 namespace whatsup::gossip::testing {
@@ -15,12 +16,14 @@ namespace whatsup::gossip::testing {
 class RpsOnlyAgent : public sim::Agent {
  public:
   RpsOnlyAgent(NodeId self, std::size_t view_size, Profile profile = {})
-      : profile_(std::move(profile)), rps_(self, view_size, 1) {}
+      : self_(self), profile_(std::move(profile)), rps_(self, view_size, 1) {}
 
-  void on_cycle(sim::Context& ctx) override { rps_.step(ctx, profile_); }
+  void on_cycle(sim::Context& ctx) override { rps_.step(ctx, self_descriptor(ctx.now())); }
   void on_message(sim::Context& ctx, const net::Message& m) override {
     switch (m.type) {
-      case net::MsgType::kRpsRequest: rps_.on_request(ctx, m.view(), profile_); break;
+      case net::MsgType::kRpsRequest:
+        rps_.on_request(ctx, m.view(), self_descriptor(ctx.now()));
+        break;
       case net::MsgType::kRpsReply: rps_.on_reply(ctx, m.view()); break;
       default: break;
     }
@@ -31,7 +34,13 @@ class RpsOnlyAgent : public sim::Agent {
   const View& view() const { return rps_.view(); }
 
  private:
+  net::Descriptor self_descriptor(Cycle now) {
+    return net::Descriptor{self_, snapshot_cache_.stamp(now, profile_)};
+  }
+
+  NodeId self_;
   Profile profile_;
+  ProfileSnapshotCache snapshot_cache_;
   Rps rps_;
 };
 
@@ -41,20 +50,24 @@ class ClusteringAgent : public sim::Agent {
  public:
   ClusteringAgent(NodeId self, std::size_t rps_size, std::size_t wup_size,
                   Metric metric, Profile profile)
-      : profile_(std::move(profile)),
+      : self_(self),
+        profile_(std::move(profile)),
         rps_(self, rps_size, 1),
         wup_(self, wup_size, metric, 1) {}
 
   void on_cycle(sim::Context& ctx) override {
-    rps_.step(ctx, profile_);
-    wup_.step(ctx, profile_, rps_.view());
+    const net::Descriptor self = self_descriptor(ctx.now());
+    rps_.step(ctx, self);
+    wup_.step(ctx, self, rps_.view());
   }
   void on_message(sim::Context& ctx, const net::Message& m) override {
     switch (m.type) {
-      case net::MsgType::kRpsRequest: rps_.on_request(ctx, m.view(), profile_); break;
+      case net::MsgType::kRpsRequest:
+        rps_.on_request(ctx, m.view(), self_descriptor(ctx.now()));
+        break;
       case net::MsgType::kRpsReply: rps_.on_reply(ctx, m.view()); break;
       case net::MsgType::kWupRequest:
-        wup_.on_request(ctx, m.view(), profile_, rps_.view());
+        wup_.on_request(ctx, m.view(), self_descriptor(ctx.now()), profile_, rps_.view());
         break;
       case net::MsgType::kWupReply:
         wup_.on_reply(ctx, m.view(), profile_, rps_.view());
@@ -69,7 +82,13 @@ class ClusteringAgent : public sim::Agent {
   const View& wup_view() const { return wup_.view(); }
 
  private:
+  net::Descriptor self_descriptor(Cycle now) {
+    return net::Descriptor{self_, snapshot_cache_.stamp(now, profile_)};
+  }
+
+  NodeId self_;
   Profile profile_;
+  ProfileSnapshotCache snapshot_cache_;
   Rps rps_;
   gossip::ClusteringProtocol wup_;
 };

@@ -280,8 +280,7 @@ TEST(ProfileHandle, HandleIsFourBytesWide) {
 }
 
 TEST(ProfileHandle, DecodedCopiesHeldAtOnceAreAllExact) {
-  // An interned snapshot decodes bit-identically, and again on a second
-  // decode.
+  // A snapshot decodes bit-identically, and again on a second decode.
   Rng rng(55);
   const Profile p = random_profile(rng, 12, 80, false);
   const ProfileHandle h = ProfileHandle::snapshot(p);
@@ -317,96 +316,31 @@ TEST(ProfileHandle, SnapshotIsImmutableUnderSourceMutation) {
 
 // ---- SnapshotArena --------------------------------------------------------
 
-TEST(SnapshotArena, SameVersionSharesOneRecord) {
+TEST(SnapshotArena, SnapshotFreesWithItsLastHandle) {
+  // A snapshot is a detached record: its slab slot returns to the pool the
+  // moment its last holder (handle or stamp record) drops, with no table
+  // keeping it alive until a sweep.
   Profile p;
   p.set(1, 0, 1.0);
-  const ProfileHandle a = ProfileHandle::snapshot(p);
-  const ProfileHandle b = ProfileHandle::snapshot(p);
-  EXPECT_EQ(a.record(), b.record());
-  EXPECT_GE(a.use_count(), 2);
-  p.set(2, 0, 1.0);  // content change → new version → new record
-  const ProfileHandle c = ProfileHandle::snapshot(p);
-  EXPECT_NE(c.record(), a.record());
-}
-
-TEST(SnapshotArena, PurgeDropsDeadEntriesKeepsLive) {
-  auto& intern = SnapshotArena::instance();
-  Profile keep, drop;
-  keep.set(1, 0, 1.0);
-  drop.set(2, 0, 1.0);
-  ProfileHandle live = ProfileHandle::snapshot(keep);
+  p.set(7, 3, 0.0);
+  const std::size_t before = SnapshotArena::instance().stats().blobs.live;
   {
-    const ProfileHandle dead = ProfileHandle::snapshot(drop);
-    EXPECT_TRUE(static_cast<bool>(dead));
-  }  // `drop`'s record now has zero strong refs; only the weak entry remains
-  intern.purge_dead();
-  const auto stats = intern.stats();
-  EXPECT_EQ(stats.entries, stats.live);
-  // The live version must still intern to the SAME record after a purge.
-  const ProfileHandle again = ProfileHandle::snapshot(keep);
-  EXPECT_EQ(again.record(), live.record());
-  // The dead version re-interns to a fresh record (old one really was freed).
-  const ProfileHandle fresh = ProfileHandle::snapshot(drop);
-  EXPECT_TRUE(static_cast<bool>(fresh));
-}
-
-TEST(SnapshotArena, EpochAdvanceEventuallySweepsEveryShard) {
-  auto& intern = SnapshotArena::instance();
-  // Create dead entries across many shards (versions are sequential, so
-  // consecutive snapshots round-robin the shard index).
-  for (int i = 0; i < 256; ++i) {
-    Profile p;
-    p.set(static_cast<ItemId>(i + 1), 0, 1.0);
     const ProfileHandle h = ProfileHandle::snapshot(p);
+    const ProfileHandle copy = h;
+    const DescriptorRef stamp = DescriptorRef::make(4, copy);
+    EXPECT_EQ(SnapshotArena::instance().stats().blobs.live, before + 1);
+    EXPECT_EQ(h.use_count(), 3);  // two handles and the stamp record
   }
-  // One epoch advance sweeps one shard; a full lap covers all of them.
-  for (int i = 0; i < 64; ++i) intern.advance_epoch();
-  const auto stats = intern.stats();
-  EXPECT_EQ(stats.entries, stats.live);
-  EXPECT_GT(stats.purged, 0u);
-}
-
-TEST(SnapshotArena, ThreadedInternAndMaterializeStayIsolated) {
-  // Exercised under TSan in CI: concurrent snapshot/decode across threads
-  // must neither race nor hand one thread another generation's contents.
-  constexpr int kThreads = 4;
-  constexpr int kProfiles = 16;
-  constexpr int kRounds = 200;
-  std::vector<Profile> profiles;
-  Rng seed_rng(77);
-  for (int i = 0; i < kProfiles; ++i) {
-    profiles.push_back(random_profile(seed_rng, 10, 64, false));
-  }
-  std::vector<ProfileHandle> handles;
-  for (const Profile& p : profiles) handles.push_back(ProfileHandle::snapshot(p));
-
-  std::vector<std::thread> workers;
-  std::vector<int> failures(kThreads, 0);
-  for (int t = 0; t < kThreads; ++t) {
-    workers.emplace_back([&, t] {
-      Rng rng(1000 + t);
-      for (int round = 0; round < kRounds; ++round) {
-        const std::size_t k = rng.index(kProfiles);
-        // Interning the same version from many threads must converge on the
-        // shared record.
-        const ProfileHandle h = ProfileHandle::snapshot(profiles[k]);
-        if (h.record() != handles[k].record()) ++failures[t];
-        const Profile view = h.decode();
-        if (!(view == profiles[k])) ++failures[t];
-        if (view.version() != profiles[k].version()) ++failures[t];
-      }
-    });
-  }
-  for (std::thread& w : workers) w.join();
-  for (int t = 0; t < kThreads; ++t) EXPECT_EQ(failures[t], 0) << "thread " << t;
+  EXPECT_EQ(SnapshotArena::instance().stats().blobs.live, before);
 }
 
 TEST(SnapshotArena, ThreadedSweepRacesInternCopyDrop) {
   // The hostile schedule for the intrusive refcount: worker threads churn
-  // handles (intern, copy, drop — each drop may leave the table's reference
-  // as the last one) while a sweeper thread continuously purges. TSan runs
-  // this in CI; single-threaded it still pins the invariant that a record
-  // can never be reclaimed while an outside handle holds it.
+  // content-interned handles (intern, copy, drop — each drop may leave the
+  // table's reference as the last one) while a sweeper thread continuously
+  // purges. TSan runs this in CI; single-threaded it still pins the
+  // invariant that a record can never be reclaimed while an outside handle
+  // holds it.
   constexpr int kThreads = 4;
   constexpr int kProfiles = 8;
   constexpr int kRounds = 300;
@@ -414,15 +348,15 @@ TEST(SnapshotArena, ThreadedSweepRacesInternCopyDrop) {
   Rng seed_rng(78);
   for (int i = 0; i < kProfiles; ++i) {
     profiles.push_back(random_profile(seed_rng, 10, 64, false));
+    (void)profiles.back().norm();  // warm the lazy norm before sharing
   }
 
-  auto& intern = SnapshotArena::instance();
+  auto& arena = SnapshotArena::instance();
+  arena.purge_dead();
+  const std::size_t entries_before = arena.stats().entries;
   std::atomic<bool> stop{false};
   std::thread sweeper([&] {
-    while (!stop.load(std::memory_order_relaxed)) {
-      intern.advance_epoch();
-      intern.purge_dead();
-    }
+    while (!stop.load(std::memory_order_relaxed)) arena.purge_dead();
   });
 
   std::vector<std::thread> workers;
@@ -432,7 +366,7 @@ TEST(SnapshotArena, ThreadedSweepRacesInternCopyDrop) {
       Rng rng(2000 + t);
       for (int round = 0; round < kRounds; ++round) {
         const std::size_t k = rng.index(kProfiles);
-        ProfileHandle h = ProfileHandle::snapshot(profiles[k]);
+        ProfileHandle h = arena.intern_by_content(profiles[k]);
         ProfileHandle copy = h;        // retain
         ProfileHandle moved = std::move(h);  // steal
         h = copy;                      // re-retain through assignment
@@ -447,9 +381,10 @@ TEST(SnapshotArena, ThreadedSweepRacesInternCopyDrop) {
   stop.store(true, std::memory_order_relaxed);
   sweeper.join();
   for (int t = 0; t < kThreads; ++t) EXPECT_EQ(failures[t], 0) << "thread " << t;
-  intern.purge_dead();
-  const auto stats = intern.stats();
-  EXPECT_EQ(stats.entries, stats.live);
+  // No handle survives the workers, so a final sweep leaves the table as
+  // it found it.
+  arena.purge_dead();
+  EXPECT_EQ(arena.stats().entries, entries_before);
 }
 
 TEST(SnapshotArena, ResidentBytesTracksEncodedPayload) {
@@ -483,7 +418,7 @@ TEST(SnapshotArena, StatsCountTheRecordsHeapSpill) {
 TEST(SnapshotArena, FreedSlotsAreRecycled) {
   // Encode-drop in a loop: the blob pool must hand back freed indices
   // instead of growing unboundedly (the detached records never touch the
-  // intern tables, so their lifetime is exactly the handle's).
+  // content table, so their lifetime is exactly the handle's).
   Profile p;
   p.set(1, 0, 1.0);
   const auto before = SnapshotArena::instance().stats();
@@ -576,12 +511,11 @@ TEST(SnapshotArena, ThreadedContentInternAndSweepConverge) {
     (void)profiles.back().norm();
   }
   auto& arena = SnapshotArena::instance();
+  arena.purge_dead();
+  const std::size_t entries_before = arena.stats().entries;
   std::atomic<bool> stop{false};
   std::thread sweeper([&] {
-    while (!stop.load(std::memory_order_relaxed)) {
-      arena.advance_epoch();
-      arena.purge_dead();
-    }
+    while (!stop.load(std::memory_order_relaxed)) arena.purge_dead();
   });
   std::vector<std::thread> workers;
   std::vector<int> failures(kThreads, 0);
@@ -600,8 +534,7 @@ TEST(SnapshotArena, ThreadedContentInternAndSweepConverge) {
   sweeper.join();
   for (int t = 0; t < kThreads; ++t) EXPECT_EQ(failures[t], 0) << "thread " << t;
   arena.purge_dead();
-  const auto stats = arena.stats();
-  EXPECT_EQ(stats.entries, stats.live);
+  EXPECT_EQ(arena.stats().entries, entries_before);
 }
 
 // ---- DescriptorRef --------------------------------------------------------

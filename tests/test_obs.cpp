@@ -410,11 +410,11 @@ TEST(ObsDeterminism, DigestsBitIdenticalAcrossThreadsAndWidths) {
   }
 }
 
-// The similarity and item-profile work counters are exact: a pure function
-// of the seed, so two runs agree, and so do 1, 2 and 4 worker threads (each
-// worker counts the selections and news hops of the nodes it runs into its
-// own lane). The record scorer decodes no more candidate ids than it is
-// presented.
+// The similarity, item-profile and arena work counters are exact: a pure
+// function of the seed, so two runs agree, and so do 1, 2 and 4 worker
+// threads (each worker counts the selections, news hops and snapshot
+// records of the nodes it runs into its own lane). The record scorer
+// decodes no more candidate ids than it is presented.
 TEST(ObsDeterminism, ScoringAndItemProfileCountersExactAcrossRunsAndThreads) {
   StatsGuard guard;
   const data::Workload workload = obs_workload();
@@ -428,15 +428,20 @@ TEST(ObsDeterminism, ScoringAndItemProfileCountersExactAcrossRunsAndThreads) {
     return std::tuple{result.stats.value("similarity.candidates"),
                       result.stats.value("similarity.entries_scanned"),
                       result.stats.value("similarity.entries_decoded"),
-                      result.stats.value("beep.item_profile.encodes")};
+                      result.stats.value("beep.item_profile.encodes"),
+                      result.stats.value("arena.snapshot.encodes"),
+                      result.stats.value("arena.stamp.creates")};
   };
   const auto first = counts(1);
-  const auto [candidates, scanned, decoded, encodes] = first;
+  const auto [candidates, scanned, decoded, encodes, snapshot_encodes, stamp_creates] =
+      first;
   EXPECT_GT(candidates, 0u);
   EXPECT_GT(scanned, candidates);
   EXPECT_GT(decoded, 0u);
   EXPECT_LE(decoded, scanned);
   EXPECT_GT(encodes, 0u);
+  EXPECT_GT(snapshot_encodes, 0u);
+  EXPECT_GT(stamp_creates, 0u);
   EXPECT_EQ(counts(1), first);
   EXPECT_EQ(counts(2), first);
   EXPECT_EQ(counts(4), first);

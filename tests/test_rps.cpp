@@ -119,15 +119,20 @@ TEST(Rps, PeriodThrottlesGossip) {
     sim::Engine engine(sim::Engine::Config{7, {}, {}});
     class PeriodicAgent : public sim::Agent {
      public:
-      PeriodicAgent(NodeId self, Cycle period) : rps_(self, 4, period) {}
-      void on_cycle(sim::Context& ctx) override { rps_.step(ctx, profile_); }
+      PeriodicAgent(NodeId self, Cycle period) : self_(self), rps_(self, 4, period) {}
+      net::Descriptor self_descriptor(Cycle now) const {
+        return net::Descriptor{self_, now, empty_profile_handle()};
+      }
+      void on_cycle(sim::Context& ctx) override { rps_.step(ctx, self_descriptor(ctx.now())); }
       void on_message(sim::Context& ctx, const net::Message& m) override {
-        if (m.type == net::MsgType::kRpsRequest) rps_.on_request(ctx, m.view(), profile_);
+        if (m.type == net::MsgType::kRpsRequest) {
+          rps_.on_request(ctx, m.view(), self_descriptor(ctx.now()));
+        }
         if (m.type == net::MsgType::kRpsReply) rps_.on_reply(ctx, m.view());
       }
       void publish(sim::Context&, ItemIdx, ItemId) override {}
+      NodeId self_;
       Rps rps_;
-      Profile profile_;
     };
     std::vector<PeriodicAgent*> agents;
     for (NodeId v = 0; v < 6; ++v) {

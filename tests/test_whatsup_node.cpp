@@ -209,5 +209,84 @@ TEST(WhatsUpNode, StaleItemProfileEntriesPurgedBeforeForward) {
   EXPECT_FALSE(fx.sink->news[0].item_profile.decode().contains(777));  // Alg. 1 lines 8-10
 }
 
+// Records the sender descriptor of every view request it receives, and
+// never answers.
+class RequestSink : public sim::Agent {
+ public:
+  void on_cycle(sim::Context&) override {}
+  void on_message(sim::Context&, const net::Message& m) override {
+    if (m.type == net::MsgType::kRpsRequest) rps.push_back(m.view().sender);
+    if (m.type == net::MsgType::kWupRequest) wup.push_back(m.view().sender);
+  }
+  void publish(sim::Context&, ItemIdx, ItemId) override {}
+
+  std::vector<net::Descriptor> rps;
+  std::vector<net::Descriptor> wup;
+};
+
+TEST(WhatsUpNode, RpsAndWupRequestsOfOneCycleShareOneStampRecord) {
+  // A node stamps its own descriptor once per cycle and hands the SAME
+  // stamp record to its RPS and WUP layers. The disclosed profile it
+  // carries is decided once, in the agent: the obfuscated snapshot when
+  // obfuscation is on, the true profile otherwise.
+  for (const bool obfuscate : {false, true}) {
+    SCOPED_TRACE(obfuscate ? "obfuscated" : "plain");
+    WhatsUpConfig config;
+    config.params.rps_period = 1;
+    config.params.wup_period = 1;
+    if (obfuscate) {
+      config.obfuscation.flip_prob = 0.5;
+      config.obfuscation.drop_prob = 0.3;
+    }
+    FixedOpinions opinions;
+    sim::Engine engine({123, {}, {}});
+    auto sink_owner = std::make_unique<RequestSink>();
+    RequestSink* sink = sink_owner.get();
+    engine.add_agent(std::move(sink_owner));
+    auto node_owner = std::make_unique<WhatsUpAgent>(1, config, opinions);
+    WhatsUpAgent* node = node_owner.get();
+    engine.add_agent(std::move(node_owner));
+    node->bootstrap_rps({net::Descriptor{0, 0, nullptr}});
+    node->bootstrap_wup({net::Descriptor{0, 0, nullptr}});
+    // Give the node a profile worth obfuscating, then let it settle.
+    for (ItemIdx i = 0; i < 12; ++i) {
+      opinions.like(1, i);
+      engine.send(news_to(2, 1, item(i, /*created=*/1)));
+    }
+    engine.run_cycles(4);
+
+    // One more cycle, with no news in flight: one stamp record is made,
+    // and both requests of that cycle carry it.
+    const std::size_t stamps_before = SnapshotArena::instance().stats().stamps.live;
+    const Cycle cycle = engine.now();
+    engine.run_cycles(2);  // send, then deliver to the sink
+    const auto sent_in = [cycle](const std::vector<net::Descriptor>& sent) {
+      std::vector<const net::Descriptor*> out;
+      for (const net::Descriptor& d : sent) {
+        if (d.timestamp() == cycle) out.push_back(&d);
+      }
+      return out;
+    };
+    const auto rps = sent_in(sink->rps);
+    const auto wup = sent_in(sink->wup);
+    ASSERT_EQ(rps.size(), 1u);
+    ASSERT_EQ(wup.size(), 1u);
+    // The next cycle's stamp is held by the node's cache alone; this
+    // cycle's by the two captured requests.
+    EXPECT_EQ(SnapshotArena::instance().stats().stamps.live, stamps_before + 2);
+    EXPECT_EQ(rps[0]->snapshot(), wup[0]->snapshot());
+
+    const Profile& truth = node->user_profile();
+    ASSERT_EQ(truth.size(), 12u);
+    const Profile disclosed = rps[0]->decoded_profile();
+    if (obfuscate) {
+      EXPECT_EQ(disclosed, obfuscate_profile(truth, config.obfuscation, 1, cycle));
+      EXPECT_NE(disclosed, truth);
+    } else {
+      EXPECT_EQ(disclosed, truth);
+    }
+  }
+}
+
 }  // namespace
 }  // namespace whatsup
