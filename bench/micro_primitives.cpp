@@ -488,6 +488,57 @@ void BM_WireDecodeView(benchmark::State& state) {
 }
 BENCHMARK(BM_WireDecodeView)->Arg(0)->Arg(1);
 
+// One forward's fLIKE fan-out crossing a fragment link: fLIKE = 8 news
+// envelopes in one batch sharing one real-valued item record of `arg`
+// entries. The batch ships the record once and then 7 batch-local
+// back-references; each iteration encodes the batch, decodes it (the
+// receiver builds one record from the bytes) and ends the batch on both
+// ends, as the engine does at every barrier exchange. Reports ns per
+// batch and its wire bytes.
+void BM_WireNewsFanout(benchmark::State& state) {
+  constexpr NodeId kFanout = 8;
+  const auto size = static_cast<std::size_t>(state.range(0));
+  Rng rng(13);
+  Profile item;
+  for (std::size_t i = 0; i < size; ++i) {
+    item.set(rng.index(4 * size) + 1, static_cast<Cycle>(rng.index(50)), rng.uniform());
+  }
+  net::Message m;
+  m.from = 3;
+  m.sent_at = 100;
+  m.type = net::MsgType::kNews;
+  net::NewsPayload news;
+  news.id = 0xabcdef;
+  news.item_profile = item_record(item);
+  m.payload = std::move(news);
+  const std::size_t slots = net::snapshot_table_slots(500);
+  net::SnapshotSendTable tx(slots);
+  net::SnapshotRecvTable rx(slots);
+  std::vector<std::uint8_t> bytes;
+  for (auto _ : state) {
+    bytes.clear();
+    for (NodeId k = 0; k < kFanout; ++k) {
+      m.to = 10 + 2 * k;
+      net::encode_envelope(bytes, 101, m, tx);
+    }
+    tx.end_batch();
+    net::WireReader r(bytes.data(), bytes.size());
+    for (NodeId k = 0; k < kFanout; ++k) {
+      Cycle due = 0;
+      net::Message out;
+      if (!net::decode_envelope(r, due, out, rx)) {
+        state.SkipWithError("decode failed");
+        break;
+      }
+      benchmark::DoNotOptimize(out.payload.index());
+    }
+    rx.end_batch();
+  }
+  state.counters["wire_bytes"] = static_cast<double>(bytes.size());
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_WireNewsFanout)->Arg(64);
+
 }  // namespace
 }  // namespace whatsup
 

@@ -20,16 +20,16 @@ net::ViewPayload ClusteringProtocol::make_payload(const net::Descriptor& self) c
   return payload;
 }
 
+bool ClusteringProtocol::will_send(Cycle now, const View& rps_view) const {
+  return (period_ <= 1 || now % period_ == 0) && !(view_.empty() && rps_view.empty());
+}
+
 void ClusteringProtocol::step(sim::Context& ctx, const net::Descriptor& self,
                               const View& rps_view) {
-  if (period_ > 1 && ctx.now() % period_ != 0) return;
-  NodeId to = kNoNode;
-  if (const net::Descriptor* oldest = view_.oldest(); oldest != nullptr) {
-    to = oldest->node;
-  } else {
-    to = rps_view.random_member(ctx.rng());  // bootstrap out of an empty view
-  }
-  if (to == kNoNode) return;
+  if (!will_send(ctx.now(), rps_view)) return;
+  const net::Descriptor* oldest = view_.oldest();
+  // An empty view bootstraps out of the RPS view.
+  const NodeId to = oldest != nullptr ? oldest->node : rps_view.random_member(ctx.rng());
   ctx.send(to, net::MsgType::kWupRequest, make_payload(self));
 }
 

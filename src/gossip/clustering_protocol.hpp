@@ -30,6 +30,8 @@ class ClusteringProtocol {
   // descriptor, stamped by its agent with the profile it discloses (an
   // obfuscated snapshot under §VII's profile obfuscation).
   void step(sim::Context& ctx, const net::Descriptor& self, const View& rps_view);
+  // Whether step() at `now` sends: it is due and either view has a member.
+  bool will_send(Cycle now, const View& rps_view) const;
 
   // Passive thread. `own_profile` drives the similarity-based view
   // selection (always the node's TRUE profile); `rps_view` feeds it fresh

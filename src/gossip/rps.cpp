@@ -20,11 +20,13 @@ net::ViewPayload Rps::make_payload(sim::Context& ctx, const net::Descriptor& sel
   return payload;
 }
 
+bool Rps::will_send(Cycle now) const {
+  return (period_ <= 1 || now % period_ == 0) && !view_.empty();
+}
+
 void Rps::step(sim::Context& ctx, const net::Descriptor& self) {
-  if (period_ > 1 && ctx.now() % period_ != 0) return;
-  const net::Descriptor* target = view_.oldest();
-  if (target == nullptr) return;
-  const NodeId to = target->node;
+  if (!will_send(ctx.now())) return;
+  const NodeId to = view_.oldest()->node;
   ctx.send(to, net::MsgType::kRpsRequest, make_payload(ctx, self));
 }
 

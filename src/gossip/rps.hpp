@@ -27,6 +27,9 @@ class Rps {
   // the profile it DISCLOSES — privacy-conscious nodes disclose an
   // obfuscated snapshot (§VII).
   void step(sim::Context& ctx, const net::Descriptor& self);
+  // Whether step() at `now` sends (it is due and the view is not empty);
+  // an agent stamps `self` only when some step will.
+  bool will_send(Cycle now) const;
 
   // Passive thread.
   void on_request(sim::Context& ctx, const net::ViewPayload& payload,

@@ -6,7 +6,6 @@
 #include <cstring>
 #include <utility>
 
-#include "common/small_vector.hpp"
 #include "obs/registry.hpp"
 #include "profile/compact.hpp"
 
@@ -14,20 +13,11 @@ namespace whatsup::net {
 
 namespace {
 
-std::uint32_t fnv1a32(std::span<const std::uint8_t> bytes) {
-  std::uint32_t h = 2166136261u;
-  for (std::uint8_t b : bytes) {
-    h ^= b;
-    h *= 16777619u;
-  }
-  return h;
-}
-
-void put_u32le(std::vector<std::uint8_t>& out, std::uint32_t v) {
-  out.push_back(static_cast<std::uint8_t>(v));
-  out.push_back(static_cast<std::uint8_t>(v >> 8));
-  out.push_back(static_cast<std::uint8_t>(v >> 16));
-  out.push_back(static_cast<std::uint8_t>(v >> 24));
+void put_u32le(std::uint8_t* p, std::uint32_t v) {
+  p[0] = static_cast<std::uint8_t>(v);
+  p[1] = static_cast<std::uint8_t>(v >> 8);
+  p[2] = static_cast<std::uint8_t>(v >> 16);
+  p[3] = static_cast<std::uint8_t>(v >> 24);
 }
 
 std::uint32_t get_u32le(const std::uint8_t* p) {
@@ -39,9 +29,14 @@ std::uint32_t get_u32le(const std::uint8_t* p) {
 
 // Descriptor snapshot tags (see the descriptor layout below).
 constexpr std::uint8_t kNoSnapshot = 0;
-constexpr std::uint8_t kInlineSnapshot = 1;
+constexpr std::uint8_t kEmptySnapshot = 1;
 constexpr std::uint8_t kFullSnapshot = 2;
 constexpr std::uint8_t kSnapshotRef = 3;
+
+// News item-profile tags (see the news layout below).
+constexpr std::uint8_t kNoItem = 0;
+constexpr std::uint8_t kFullItem = 1;
+constexpr std::uint8_t kItemRef = 2;
 
 // Link-table sizing: a power of two of at least kSnapshotSlotsPerNode
 // slots per node, clamped (see snapshot_table_slots). Every slot pins one
@@ -55,6 +50,8 @@ constexpr std::size_t kMaxSnapshotSlots = std::size_t{1} << 20;
 struct WireCounters {
   obs::MetricId snapshot_full = obs::counter("wire.snapshot.full");
   obs::MetricId snapshot_ref = obs::counter("wire.snapshot.ref");
+  obs::MetricId item_full = obs::counter("wire.item.full");
+  obs::MetricId item_ref = obs::counter("wire.item.ref");
 };
 
 const WireCounters& wire_counters() {
@@ -62,107 +59,29 @@ const WireCounters& wire_counters() {
   return counters;
 }
 
-bool binary_scores(std::span<const double> scores) {
-  for (double s : scores) {
-    if (s != 0.0 && s != 1.0) return false;
-  }
-  return true;
-}
-
 }  // namespace
 
-// ---- Profile contents ----
+// ---- Record bodies ----
 //
-// Layout: varint count; then (count > 0): varint id deltas (strictly
-// ascending ids, first delta is the first id), zigzag timestamp deltas,
-// flags u8, and either a 1-bit-per-entry like mask (kBinaryScores) or
-// count raw doubles. Mirrors CompactProfile's record layout so binary
-// user profiles cost ~2-3 bytes per entry on the wire.
+// Layout: varint count (>= 1), u8 flags, varint byte length, then the
+// record's encoded bytes (profile/compact.hpp) verbatim.
 
-void encode_profile(std::vector<std::uint8_t>& out, const Profile& profile) {
-  const auto ids = profile.ids();
-  const auto timestamps = profile.timestamps();
-  const auto scores = profile.scores();
-  wire_varint(out, ids.size());
-  if (ids.empty()) return;
-  ItemId prev_id = 0;
-  for (ItemId id : ids) {
-    wire_varint(out, id - prev_id);
-    prev_id = id;
-  }
-  std::int64_t prev_ts = 0;
-  for (Cycle ts : timestamps) {
-    wire_zigzag(out, static_cast<std::int64_t>(ts) - prev_ts);
-    prev_ts = ts;
-  }
-  const bool binary = binary_scores(scores);
-  wire_u8(out, binary ? 1 : 0);
-  if (binary) {
-    std::uint8_t bits = 0;
-    for (std::size_t i = 0; i < scores.size(); ++i) {
-      if (scores[i] == 1.0) bits |= static_cast<std::uint8_t>(1u << (i % 8));
-      if (i % 8 == 7) {
-        out.push_back(bits);
-        bits = 0;
-      }
-    }
-    if (scores.size() % 8 != 0) out.push_back(bits);
-  } else {
-    for (double s : scores) wire_f64(out, s);
-  }
+void encode_record_body(std::vector<std::uint8_t>& out, const CompactProfile& record) {
+  const RecordImage image = record.image();
+  wire_varint(out, image.count);
+  wire_u8(out, image.flags);
+  wire_varint(out, image.bytes.size());
+  out.insert(out.end(), image.bytes.begin(), image.bytes.end());
 }
 
-bool decode_profile(WireReader& r, Profile& out) {
-  out.clear();
+bool decode_record_body(WireReader& r, RecordImage& out) {
   const std::uint64_t count = r.read_varint();
-  // Every entry takes at least one byte (its id delta), so a count past the
-  // remaining input is corrupt: reject it before sizing any array.
-  if (!r.ok() || count > kMaxWireProfileEntries || count > r.remaining()) return false;
-  if (count == 0) return r.ok();
-  // One pass into flat arrays, loaded with a single version stamp: the
-  // ascending-id check below is exactly Profile's sorted invariant.
-  SmallVector<ItemId, 16> ids;
-  ids.resize(count);
-  ItemId prev_id = 0;
-  for (std::uint64_t i = 0; i < count; ++i) {
-    const std::uint64_t delta = r.read_varint();
-    if (!r.ok() || (i > 0 && delta == 0) || delta > ~ItemId{0} - prev_id) {
-      return false;  // ids must strictly ascend, without wrapping
-    }
-    prev_id += delta;
-    ids[i] = prev_id;
-  }
-  SmallVector<Cycle, 16> timestamps;
-  timestamps.resize(count);
-  std::int64_t prev_ts = 0;
-  for (std::uint64_t i = 0; i < count; ++i) {
-    const std::int64_t delta = r.read_zigzag();
-    // |delta| <= 2^33 keeps the running sum far from int64 overflow.
-    if (delta < -(std::int64_t{1} << 33) || delta > (std::int64_t{1} << 33)) {
-      return false;
-    }
-    prev_ts += delta;
-    if (prev_ts < INT32_MIN || prev_ts > INT32_MAX) return false;
-    timestamps[i] = static_cast<Cycle>(prev_ts);
-  }
   const std::uint8_t flags = r.read_u8();
-  if (!r.ok() || flags > 1) return false;
-  SmallVector<double, 16> scores;
-  scores.resize(count);
-  if (flags == 1) {
-    std::uint8_t bits = 0;
-    for (std::uint64_t i = 0; i < count; ++i) {
-      if (i % 8 == 0) bits = r.read_u8();
-      scores[i] = (bits >> (i % 8)) & 1 ? 1.0 : 0.0;
-    }
-  } else {
-    for (std::uint64_t i = 0; i < count; ++i) scores[i] = r.read_f64();
-  }
-  if (!r.ok()) return false;
-  out.assign_ascending({ids.data(), ids.size()},
-                       {timestamps.data(), timestamps.size()},
-                       {scores.data(), scores.size()});
-  return true;
+  const std::uint64_t length = r.read_varint();
+  // The count cap and the length check come before the bytes are viewed.
+  if (!r.ok() || count > kMaxWireProfileEntries || length > r.remaining()) return false;
+  const std::span<const std::uint8_t> bytes = r.read_bytes(static_cast<std::size_t>(length));
+  return r.ok() && CompactProfile::parse_image(count, flags, bytes, out);
 }
 
 // ---- Link snapshot tables ----
@@ -190,25 +109,44 @@ SnapshotSendTable::Placement SnapshotSendTable::place(ArenaIndex index,
   return p;
 }
 
-const ProfileHandle* SnapshotRecvTable::resolve(std::uint64_t slot,
-                                                std::uint64_t version) const {
+SnapshotSendTable::Placement SnapshotSendTable::place_item(const ProfileHandle& item) {
+  // Fibonacci hashing of the arena index onto the 64 item slots.
+  static_assert(kItemSlots == 64);
+  std::uint32_t& candidate = item_slots_[(item.slot() * 0x9E3779B1u) >> 26];
+  if (candidate < items_.size() && items_[candidate] == item) {
+    return Placement{candidate, true};
+  }
+  candidate = static_cast<std::uint32_t>(items_.size());
+  items_.push_back(item);
+  return Placement{candidate, false};
+}
+
+bool SnapshotRecvTable::holds(std::uint64_t slot, std::uint64_t version) const {
   // A vacant slot holds version 0, which no reference carries.
-  if (slot >= slots() || version == 0 || versions_[slot] != version) return nullptr;
-  return &handles_[slot];
+  return slot < slots() && version != 0 && versions_[slot] == version;
 }
 
 void SnapshotRecvTable::store(std::size_t slot, std::uint64_t version,
                               ProfileHandle handle) {
   versions_[slot] = version;
   handles_[slot] = std::move(handle);
+  stamps_[slot] = DescriptorRef();
+}
+
+DescriptorRef SnapshotRecvTable::stamp(std::size_t slot, Cycle timestamp) {
+  DescriptorRef& last = stamps_[slot];
+  if (last.is_null() || last.timestamp() != timestamp) {
+    last = DescriptorRef::make(timestamp, handles_[slot]);
+  }
+  return last;
 }
 
 // ---- Descriptor ----
 //
 // Layout: varint node, zigzag timestamp, tag u8, then per tag:
 //   kNoSnapshot      — nothing (bootstrap descriptor: address only);
-//   kInlineSnapshot  — profile contents (what empty snapshots ship);
-//   kFullSnapshot    — varint slot, varint version, profile contents;
+//   kEmptySnapshot   — nothing (an explicitly empty snapshot);
+//   kFullSnapshot    — varint slot, varint version, record body;
 //   kSnapshotRef     — varint slot, varint version.
 
 void encode_descriptor(std::vector<std::uint8_t>& out, const Descriptor& d,
@@ -220,13 +158,12 @@ void encode_descriptor(std::vector<std::uint8_t>& out, const Descriptor& d,
     return;
   }
   if (d.profile_size() == 0) {
-    wire_u8(out, kInlineSnapshot);
-    encode_profile(out, Profile{});
+    wire_u8(out, kEmptySnapshot);
     return;
   }
-  const ProfileHandle blob = d.profile();
-  const std::uint64_t version = blob.version();
-  const SnapshotSendTable::Placement p = link.place(blob.slot(), version);
+  const CompactProfile* blob = d.snapshot();
+  const std::uint64_t version = blob->version();
+  const SnapshotSendTable::Placement p = link.place(blob->slot(), version);
   wire_u8(out, p.shipped ? kSnapshotRef : kFullSnapshot);
   wire_varint(out, p.slot);
   wire_varint(out, version);
@@ -235,7 +172,7 @@ void encode_descriptor(std::vector<std::uint8_t>& out, const Descriptor& d,
     return;
   }
   obs::add(wire_counters().snapshot_full);
-  encode_profile(out, blob.decode());
+  encode_record_body(out, *blob);
 }
 
 bool decode_descriptor(WireReader& r, Descriptor& out, SnapshotRecvTable& link) {
@@ -252,30 +189,26 @@ bool decode_descriptor(WireReader& r, Descriptor& out, SnapshotRecvTable& link) 
     out = Descriptor{n, ts, nullptr};
     return true;
   }
-  Profile p;
-  if (tag == kInlineSnapshot) {
-    if (!decode_profile(r, p)) return false;
-    out = Descriptor{n, ts, p.empty() ? empty_profile_handle()
-                                      : SnapshotArena::instance().intern_by_content(p)};
+  if (tag == kEmptySnapshot) {
+    out = Descriptor{n, ts, empty_profile_handle()};
     return true;
   }
   const std::uint64_t slot = r.read_varint();
   const std::uint64_t version = r.read_varint();
   if (!r.ok()) return false;
   if (tag == kSnapshotRef) {
-    const ProfileHandle* handle = link.resolve(slot, version);
-    if (handle == nullptr) return false;
-    out = Descriptor{n, ts, *handle};
-    return true;
+    if (!link.holds(slot, version)) return false;
+  } else {
+    if (slot >= link.slots() || version == 0) return false;
+    RecordImage image;
+    if (!decode_record_body(r, image)) return false;
+    // Re-intern locally BY CONTENT, never by the sender's process-local
+    // version stamp (that only keys the link table): identical snapshot
+    // bytes arriving through different links collapse onto one record.
+    link.store(static_cast<std::size_t>(slot), version,
+               SnapshotArena::instance().intern_image(image));
   }
-  if (slot >= link.slots() || version == 0) return false;
-  if (!decode_profile(r, p) || p.empty()) return false;
-  // Re-intern locally BY CONTENT, never by the sender's process-local
-  // version stamp (that only keys the link table): identical snapshot
-  // bytes arriving through different links collapse onto one arena record.
-  ProfileHandle handle = SnapshotArena::instance().intern_by_content(p);
-  out = Descriptor{n, ts, handle};
-  link.store(static_cast<std::size_t>(slot), version, std::move(handle));
+  out = Descriptor{n, link.stamp(static_cast<std::size_t>(slot), ts)};
   return true;
 }
 
@@ -301,7 +234,15 @@ bool decode_view_payload(WireReader& r, ViewPayload& out, SnapshotRecvTable& lin
   return true;
 }
 
-void encode_news_payload(std::vector<std::uint8_t>& out, const NewsPayload& n) {
+// News layout: varint id, varint index, zigzag created, varint origin,
+// zigzag dislikes, zigzag hops, u8 via_dislike, then the item profile's
+// tag u8 and per tag:
+//   kNoItem    — nothing (null: the empty item profile);
+//   kFullItem  — record body; takes the batch's next item ordinal;
+//   kItemRef   — varint ordinal of an earlier full ship in this batch.
+
+void encode_news_payload(std::vector<std::uint8_t>& out, const NewsPayload& n,
+                         SnapshotSendTable& link) {
   wire_varint(out, n.id);
   wire_varint(out, n.index);
   wire_zigzag(out, n.created);
@@ -309,10 +250,23 @@ void encode_news_payload(std::vector<std::uint8_t>& out, const NewsPayload& n) {
   wire_zigzag(out, n.dislikes);
   wire_zigzag(out, n.hops);
   wire_u8(out, n.via_dislike ? 1 : 0);
-  encode_profile(out, n.item_profile.decode());
+  if (n.item_profile == nullptr) {
+    wire_u8(out, kNoItem);
+    return;
+  }
+  const SnapshotSendTable::Placement p = link.place_item(n.item_profile);
+  if (p.shipped) {
+    obs::add(wire_counters().item_ref);
+    wire_u8(out, kItemRef);
+    wire_varint(out, p.slot);
+    return;
+  }
+  obs::add(wire_counters().item_full);
+  wire_u8(out, kFullItem);
+  encode_record_body(out, *n.item_profile.record());
 }
 
-bool decode_news_payload(WireReader& r, NewsPayload& out) {
+bool decode_news_payload(WireReader& r, NewsPayload& out, SnapshotRecvTable& link) {
   out.id = r.read_varint();
   const std::uint64_t index = r.read_varint();
   const std::int64_t created = r.read_zigzag();
@@ -332,10 +286,28 @@ bool decode_news_payload(WireReader& r, NewsPayload& out) {
   out.dislikes = static_cast<std::int8_t>(dislikes);
   out.hops = static_cast<std::int16_t>(hops);
   out.via_dislike = via != 0;
-  Profile p;
-  if (!decode_profile(r, p)) return false;
-  out.item_profile = item_record(p);
-  return true;
+  const std::uint8_t tag = r.read_u8();
+  if (!r.ok()) return false;
+  switch (tag) {
+    case kNoItem:
+      out.item_profile = nullptr;
+      return true;
+    case kFullItem: {
+      RecordImage image;
+      if (!decode_record_body(r, image)) return false;
+      out.item_profile = item_record(image);
+      link.store_item(out.item_profile);
+      return true;
+    }
+    case kItemRef: {
+      const ProfileHandle* item = link.resolve_item(r.read_varint());
+      if (!r.ok() || item == nullptr) return false;
+      out.item_profile = *item;
+      return true;
+    }
+    default:
+      return false;
+  }
 }
 
 void encode_ack_payload(std::vector<std::uint8_t>& out, const AckPayload& a) {
@@ -368,7 +340,7 @@ void encode_message(std::vector<std::uint8_t>& out, const Message& m,
       encode_view_payload(out, std::get<ViewPayload>(m.payload), link);
       break;
     case 1:
-      encode_news_payload(out, std::get<NewsPayload>(m.payload));
+      encode_news_payload(out, std::get<NewsPayload>(m.payload), link);
       break;
     default:
       encode_ack_payload(out, std::get<AckPayload>(m.payload));
@@ -402,7 +374,7 @@ bool decode_message(WireReader& r, Message& out, SnapshotRecvTable& link) {
     }
     case 1: {
       NewsPayload n;
-      if (!decode_news_payload(r, n)) return false;
+      if (!decode_news_payload(r, n, link)) return false;
       out.payload = std::move(n);
       return true;
     }
@@ -434,28 +406,62 @@ bool decode_envelope(WireReader& r, Cycle& due, Message& out,
 // ---- Frames ----
 
 std::uint32_t wire_checksum(std::span<const std::uint8_t> payload) {
-  return fnv1a32(payload);
+  // Eight independent lanes over 32-byte blocks, each stepping
+  // h = (h ^ word) * kMul. Xor with a word and multiplication by an odd
+  // constant are both bijections mod 2^32, so a change to any one word
+  // (every single-byte flip) changes its lane's final value; the lanes and
+  // then the tail bytes fold in through the same bijective step, so the
+  // change survives to the result.
+  constexpr std::uint32_t kMul = 0x9E3779B1u;
+  std::uint32_t lanes[8] = {};
+  const std::uint8_t* p = payload.data();
+  std::size_t n = payload.size();
+  for (; n >= sizeof(lanes); p += sizeof(lanes), n -= sizeof(lanes)) {
+    for (std::size_t j = 0; j < 8; ++j) {
+      lanes[j] = (lanes[j] ^ get_u32le(p + 4 * j)) * kMul;
+    }
+  }
+  std::uint32_t h = 2166136261u;
+  for (const std::uint32_t lane : lanes) h = (h ^ lane) * kMul;
+  for (; n > 0; ++p, --n) h = (h ^ *p) * kMul;
+  return h;
+}
+
+FrameHeader frame_header(std::span<const std::uint8_t> payload) {
+  FrameHeader header;
+  put_u32le(header.data(), static_cast<std::uint32_t>(payload.size()));
+  put_u32le(header.data() + 4, wire_checksum(payload));
+  return header;
+}
+
+bool frame_length(const std::uint8_t* header, std::size_t& length) {
+  length = get_u32le(header);
+  return length <= kMaxFrameBytes;
+}
+
+bool frame_intact(const std::uint8_t* header, std::span<const std::uint8_t> payload) {
+  return wire_checksum(payload) == get_u32le(header + 4);
 }
 
 void frame_append(std::vector<std::uint8_t>& out,
                   std::span<const std::uint8_t> payload) {
-  put_u32le(out, static_cast<std::uint32_t>(payload.size()));
-  put_u32le(out, fnv1a32(payload));
+  const FrameHeader header = frame_header(payload);
+  out.insert(out.end(), header.begin(), header.end());
   out.insert(out.end(), payload.begin(), payload.end());
 }
 
 FrameStatus frame_extract(const std::uint8_t* buffer, std::size_t size,
                           std::size_t& offset,
                           std::span<const std::uint8_t>& payload) {
-  if (size - offset < 8) return FrameStatus::kNeedMore;
-  const std::uint32_t length = get_u32le(buffer + offset);
-  const std::uint32_t checksum = get_u32le(buffer + offset + 4);
-  if (length > kMaxFrameBytes) return FrameStatus::kCorrupt;
-  if (size - offset - 8 < length) return FrameStatus::kNeedMore;
-  const std::span<const std::uint8_t> body{buffer + offset + 8, length};
-  if (fnv1a32(body) != checksum) return FrameStatus::kCorrupt;
+  if (size - offset < kFrameHeaderBytes) return FrameStatus::kNeedMore;
+  const std::uint8_t* header = buffer + offset;
+  std::size_t length = 0;
+  if (!frame_length(header, length)) return FrameStatus::kCorrupt;
+  if (size - offset - kFrameHeaderBytes < length) return FrameStatus::kNeedMore;
+  const std::span<const std::uint8_t> body{header + kFrameHeaderBytes, length};
+  if (!frame_intact(header, body)) return FrameStatus::kCorrupt;
   payload = body;
-  offset += 8 + static_cast<std::size_t>(length);
+  offset += kFrameHeaderBytes + length;
   return FrameStatus::kOk;
 }
 

@@ -2,7 +2,9 @@
 
 #include <algorithm>
 #include <bit>
+#include <cmath>
 #include <cstring>
+#include <limits>
 #include <vector>
 
 #include "common/varint.hpp"
@@ -19,13 +21,46 @@ bool all_binary(std::span<const double> scores) {
   return true;
 }
 
-std::uint64_t fnv1a64(std::uint64_t h, const std::uint8_t* bytes,
-                      std::size_t n) {
-  for (std::size_t i = 0; i < n; ++i) {
-    h ^= bytes[i];
-    h *= 0x00000100000001B3ull;
+// Content-table key of a record body: 8 bytes per multiply, the tail
+// zero-padded into one last word. Hits are verified byte for byte, so the
+// key only has to spread well.
+std::uint64_t content_key(std::uint32_t count, std::uint8_t flags,
+                          std::span<const std::uint8_t> bytes) {
+  constexpr std::uint64_t kMul = 0x9E3779B97F4A7C15ull;
+  const auto mix = [](std::uint64_t h, std::uint64_t word) {
+    h = (h ^ word) * kMul;
+    return h ^ (h >> 32);
+  };
+  std::uint64_t h = mix((std::uint64_t{count} << 8) | flags, bytes.size());
+  const std::uint8_t* p = bytes.data();
+  std::size_t n = bytes.size();
+  for (; n >= 8; p += 8, n -= 8) {
+    std::uint64_t word;
+    std::memcpy(&word, p, 8);
+    h = mix(h, word);
+  }
+  if (n != 0) {
+    std::uint64_t word = 0;
+    std::memcpy(&word, p, n);
+    h = mix(h, word);
   }
   return h;
+}
+
+// Bounds-checked reader of one minimal LEB128 varint inside a record body
+// (a received body is untrusted; common/varint.hpp's reader is not).
+// False on truncation, on more than 64 bits, and on a redundant trailing
+// zero byte (an over-long encoding of a smaller value).
+bool read_canonical_varint(const std::uint8_t*& p, const std::uint8_t* end,
+                           std::uint64_t& v) {
+  v = 0;
+  for (unsigned shift = 0; p != end; shift += 7) {
+    const std::uint8_t b = *p++;
+    if (shift == 63 && b > 1) return false;
+    v |= static_cast<std::uint64_t>(b & 0x7f) << shift;
+    if ((b & 0x80) == 0) return shift == 0 || b != 0;
+  }
+  return false;
 }
 
 }  // namespace
@@ -74,6 +109,91 @@ void CompactProfile::init_from(const Profile& profile) {
   }
   delta_encode(out, ids.data(), n);
   delta_encode(out, timestamps.data(), n);
+}
+
+void CompactProfile::init_from(const RecordImage& image) {
+  version_ = next_profile_version();
+  norm_ = image.norm;
+  count_ = image.count;
+  liked_ = image.liked;
+  flags_ = image.flags;
+  oldest_ = image.oldest;
+  bytes_.resize(image.bytes.size());
+  std::memcpy(bytes_.data(), image.bytes.data(), image.bytes.size());
+}
+
+RecordImage CompactProfile::image() const {
+  return RecordImage{count_, flags_, {bytes_.data(), bytes_.size()},
+                     liked_, norm_, oldest_};
+}
+
+bool CompactProfile::parse_image(std::uint64_t count, std::uint8_t flags,
+                                 std::span<const std::uint8_t> bytes,
+                                 RecordImage& out) {
+  // Every entry costs at least one id byte and one timestamp byte, which
+  // also bounds `count` before any arithmetic on it.
+  if (count == 0 || count > bytes.size() / 2 || (flags & ~kBinaryScores) != 0) {
+    return false;
+  }
+  const std::size_t n = static_cast<std::size_t>(count);
+  const bool binary = (flags & kBinaryScores) != 0;
+  const std::size_t score_bytes = binary ? (n + 7) / 8 : n * sizeof(double);
+  if (score_bytes > bytes.size()) return false;
+  const std::uint8_t* p = bytes.data();
+  const std::uint8_t* const end = p + bytes.size();
+  std::uint32_t liked = 0;
+  double sum = 0.0;
+  if (binary) {
+    for (std::size_t i = 0; i < score_bytes; ++i) {
+      liked += static_cast<std::uint32_t>(std::popcount(p[i]));
+    }
+    // Mask bits past the last entry are zero in a canonical record.
+    if (n % 8 != 0 && (p[score_bytes - 1] >> (n % 8)) != 0) return false;
+    // Scores are 0 or 1, so the left-to-right sum of squares is exact.
+    sum = static_cast<double>(liked);
+  } else {
+    bool real = false;
+    for (std::size_t i = 0; i < n; ++i) {
+      std::uint64_t word = 0;
+      std::memcpy(&word, p + i * sizeof(double), sizeof(double));
+      const double s = std::bit_cast<double>(word);
+      real |= s != 0.0 && s != 1.0;
+      liked += s > 0.5 ? 1 : 0;
+      sum += s * s;
+    }
+    if (!real) return false;  // all 0/1 scores encode as a mask
+  }
+  p += score_bytes;
+  std::uint64_t id = 0;
+  for (std::size_t i = 0; i < n; ++i) {
+    std::uint64_t v = 0;
+    if (!read_canonical_varint(p, end, v)) return false;
+    const std::uint64_t next = id + static_cast<std::uint64_t>(zigzag_decode(v));
+    if (i > 0 && next <= id) return false;  // strictly ascending, no wrap
+    id = next;
+  }
+  std::int64_t ts = 0;
+  Cycle oldest = kNoOldest;
+  for (std::size_t i = 0; i < n; ++i) {
+    std::uint64_t v = 0;
+    if (!read_canonical_varint(p, end, v)) return false;
+    // Consecutive Cycle values differ by less than 2^32; the bound also
+    // keeps the running sum far from int64 overflow.
+    const std::int64_t delta = zigzag_decode(v);
+    if (delta < -(std::int64_t{1} << 32) || delta > (std::int64_t{1} << 32)) {
+      return false;
+    }
+    ts += delta;
+    if (ts < std::numeric_limits<Cycle>::min() ||
+        ts > std::numeric_limits<Cycle>::max()) {
+      return false;
+    }
+    oldest = std::min(oldest, static_cast<Cycle>(ts));
+  }
+  if (p != end) return false;  // trailing bytes
+  out = RecordImage{static_cast<std::uint32_t>(n), flags, bytes, liked,
+                    std::sqrt(sum), oldest};
+  return true;
 }
 
 ProfileHandle CompactProfile::encode(const Profile& profile) {
@@ -128,6 +248,10 @@ ProfileHandle item_record(const Profile& profile) {
   return SnapshotArena::instance().encode_item(profile);
 }
 
+ProfileHandle item_record(const RecordImage& image) {
+  return SnapshotArena::instance().encode_item(image);
+}
+
 // ---- DescriptorRef --------------------------------------------------------
 
 Profile DescriptorRef::decode() const {
@@ -166,6 +290,18 @@ ArenaIndex SnapshotArena::encode_record(SlabPool<CompactProfile>& pool, ArenaInd
   return record->slot_;
 }
 
+ArenaIndex SnapshotArena::build_record(SlabPool<CompactProfile>& pool, ArenaIndex tag,
+                                        const RecordImage& image) {
+  const ArenaIndex slot = pool.allocate();
+  CompactProfile* record = pool.get(slot);
+  record->slot_ = slot | tag;
+  record->init_from(image);
+  if (const std::size_t spill = record->spill_bytes(); spill != 0) {
+    spill_bytes_.fetch_add(spill, std::memory_order_relaxed);
+  }
+  return record->slot_;
+}
+
 ArenaIndex SnapshotArena::encode_blob(const Profile& profile) {
   if (obs::enabled()) {
     static const obs::MetricId encodes = obs::counter("arena.snapshot.encodes");
@@ -176,6 +312,10 @@ ArenaIndex SnapshotArena::encode_blob(const Profile& profile) {
 
 ProfileHandle SnapshotArena::encode_item(const Profile& profile) {
   return ProfileHandle::adopt(encode_record(item_pool_, kItemRecordTag, profile));
+}
+
+ProfileHandle SnapshotArena::encode_item(const RecordImage& image) {
+  return ProfileHandle::adopt(build_record(item_pool_, kItemRecordTag, image));
 }
 
 void SnapshotArena::free_blob(const CompactProfile* record) {
@@ -235,35 +375,34 @@ void SnapshotArena::sweep_content() {
   sweep_at_ = content_.size() < 32 ? 64 : content_.size() * 2;
 }
 
-ProfileHandle SnapshotArena::intern_by_content(const Profile& profile) {
-  if (profile.version() == 0) return empty_profile_handle();
-  // Encode first: the content key is the canonical encoded record, so a
-  // hash hit can be verified byte-for-byte before sharing.
-  ProfileHandle fresh = encode_detached(profile);
-  const CompactProfile* record = fresh.record();
-  std::uint64_t key = 0xCBF29CE484222325ull;
-  const std::uint32_t header[3] = {record->count_, record->liked_,
-                                   record->flags_};
-  key = fnv1a64(key, reinterpret_cast<const std::uint8_t*>(header),
-                sizeof(header));
-  key = fnv1a64(key, record->bytes_.data(), record->bytes_.size());
+ProfileHandle SnapshotArena::intern_image(const RecordImage& image) {
+  const auto count = [](bool hit) {
+    if (!obs::enabled()) return;
+    static const obs::MetricId hits = obs::counter("arena.content.hits");
+    static const obs::MetricId misses = obs::counter("arena.content.misses");
+    obs::add(hit ? hits : misses);
+  };
+  const std::uint64_t key = content_key(image.count, image.flags, image.bytes);
+  const auto same_contents = [&](const CompactProfile* record) {
+    return record->count_ == image.count && record->flags_ == image.flags &&
+           record->bytes_.size() == image.bytes.size() &&
+           std::memcmp(record->bytes_.data(), image.bytes.data(), image.bytes.size()) == 0;
+  };
 
   std::lock_guard<std::mutex> lock(content_mu_);
-  if (auto it = content_.find(key); it != content_.end()) {
-    const CompactProfile* existing = blob_pool_.get(it->second);
-    if (existing->count_ == record->count_ &&
-        existing->liked_ == record->liked_ &&
-        existing->flags_ == record->flags_ &&
-        existing->bytes_ == record->bytes_) {
-      ++reused_;
-      existing->retain();
-      return ProfileHandle::adopt(it->second);  // `fresh` frees on return
-    }
-    // 64-bit hash collision with different contents: fall through and keep
-    // the fresh record un-interned (correct, merely unshared).
-    return fresh;
+  const auto it = content_.find(key);
+  if (it != content_.end() && same_contents(blob_pool_.get(it->second))) {
+    ++reused_;
+    count(true);
+    blob_pool_.get(it->second)->retain();
+    return ProfileHandle::adopt(it->second);
   }
-  record->retain();  // the table's own reference
+  count(false);
+  ProfileHandle fresh = ProfileHandle::adopt(build_record(blob_pool_, 0, image));
+  // A 64-bit key collision with different contents keeps the fresh record
+  // un-interned (correct, merely unshared).
+  if (it != content_.end()) return fresh;
+  fresh.record()->retain();  // the table's own reference
   content_.emplace(key, fresh.slot());
   ++interned_;
   if (content_.size() >= sweep_at_) sweep_content();

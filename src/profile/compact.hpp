@@ -26,7 +26,7 @@
 //    The scoring loops never decode: SimilarityScorer
 //    (profile/similarity.hpp) reads a candidate's score block and id
 //    deltas straight from the record. `decode()` rebuilds a full Profile
-//    by value for the cold paths (wire encode, cold start, tests).
+//    by value for the cold paths (cold start, tests).
 //  * `DescriptorRef` — the tagged 4-byte payload of a packed descriptor:
 //    either an index into the arena's stamp-record pool (a tiny refcounted
 //    {timestamp, profile} pair shared by every copy of one descriptor
@@ -53,6 +53,7 @@
 #include <memory>
 #include <mutex>
 #include <new>
+#include <span>
 #include <unordered_map>
 #include <utility>
 #include <vector>
@@ -73,6 +74,19 @@ using ArenaIndex = std::uint32_t;
 inline constexpr ArenaIndex kNullArenaIndex = 0xFFFFFFFFu;
 inline constexpr ArenaIndex kItemRecordTag = 1u << 30;
 
+// A record's contents as they cross a process boundary (net/wire.hpp ships
+// them verbatim): entry count, flags and encoded bytes, plus the header
+// fields a receiver derives from the bytes. `bytes` is borrowed, never
+// owned.
+struct RecordImage {
+  std::uint32_t count = 0;
+  std::uint8_t flags = 0;
+  std::span<const std::uint8_t> bytes;
+  std::uint32_t liked = 0;
+  double norm = 0.0;
+  Cycle oldest = std::numeric_limits<Cycle>::max();
+};
+
 class CompactProfile {
  public:
   // Encodes an immutable DETACHED record of `profile`'s current contents
@@ -87,6 +101,8 @@ class CompactProfile {
 
   std::size_t size() const { return count_; }
   std::uint64_t version() const { return version_; }
+  // This record's arena index (what a ProfileHandle to it holds).
+  ArenaIndex slot() const { return slot_; }
   double norm() const { return norm_; }
   std::size_t liked_count() const { return liked_; }
   // The smallest entry timestamp (kNoOldest for an empty record): a window
@@ -102,6 +118,20 @@ class CompactProfile {
   const std::uint8_t* id_deltas() const {
     return bytes_.data() + (binary_scores() ? (count_ + 7) / 8 : count_ * sizeof(double));
   }
+
+  // This record's image (sender side of the wire; header fields copied).
+  RecordImage image() const;
+
+  // Validates `bytes` as the body of a record of `count` (>= 1) entries
+  // with `flags`, in one pass, and fills `out` (bytes borrowed, liked,
+  // norm and oldest derived) on success. Accepts exactly what encode()
+  // writes, so equal contents always arrive as equal bytes: ids strictly
+  // ascending without wrapping, timestamps within Cycle, minimal varints,
+  // every byte used, zero mask padding, and raw doubles only when some
+  // score is neither 0 nor 1. The norm is Profile::norm()'s left-to-right
+  // sum, bit for bit.
+  static bool parse_image(std::uint64_t count, std::uint8_t flags,
+                          std::span<const std::uint8_t> bytes, RecordImage& out);
 
   // Encoded payload bytes (observability; excludes the record header).
   std::size_t encoded_bytes() const { return bytes_.size(); }
@@ -129,6 +159,8 @@ class CompactProfile {
   // is warmed (and captured) here, so decoded copies can be shared across
   // shard workers without racing on the lazy norm.
   void init_from(const Profile& profile);
+  // Fills this record from a parsed image under a fresh version.
+  void init_from(const RecordImage& image);
 
   // Intrusive reference count: one count per live ProfileHandle (plus one
   // per stamp record referencing this blob, plus one held by the content
@@ -407,6 +439,9 @@ const ProfileHandle& empty_profile_handle();
 // A detached item record of `profile`, or null when it is empty. Item
 // records are never descriptor snapshots (DescriptorRef::make).
 ProfileHandle item_record(const Profile& profile);
+// A detached item record holding a parsed image's bytes (the wire decoder;
+// count >= 1), under a fresh version.
+ProfileHandle item_record(const RecordImage& image);
 
 // The 4-byte payload of a packed net::Descriptor: (timestamp, snapshot) of
 // one descriptor generation. Three encodings in one u32:
@@ -496,10 +531,14 @@ class SnapshotArena {
   // Content-keyed intern for snapshots arriving over the wire: the
   // sender's version stamps are process-local and meaningless here, so
   // identical payloads re-arriving across fragment barriers must dedupe by
-  // CONTENT (encoded bytes + header) or every arrival would hold its own
-  // record. The returned record keeps the version of its first arrival —
-  // versions only key caches, never behavior. Thread-safe.
-  ProfileHandle intern_by_content(const Profile& profile);
+  // CONTENT or every arrival would hold its own record. A parsed image is
+  // canonical, so the key hashes its bytes as received: a hit retains the
+  // existing record without allocating, a miss builds one from the bytes
+  // under a fresh version — versions only key caches, never behavior.
+  // `image.count` must be >= 1. Thread-safe. While obs::enabled(), the
+  // exact counters `arena.content.hits` / `arena.content.misses` count
+  // the two outcomes.
+  ProfileHandle intern_image(const RecordImage& image);
 
   // Detached record: no intern-table entry, freed when the last reference
   // drops (every local snapshot, the empty-profile singleton).
@@ -554,6 +593,7 @@ class SnapshotArena {
   }
   void free_blob(const CompactProfile* record);
   ProfileHandle encode_item(const Profile& profile);  // item_record
+  ProfileHandle encode_item(const RecordImage& image);
 
  private:
   SnapshotArena() = default;
@@ -563,6 +603,10 @@ class SnapshotArena {
   ArenaIndex encode_record(SlabPool<CompactProfile>& pool, ArenaIndex tag,
                            const Profile& profile);
   ArenaIndex encode_blob(const Profile& profile);  // the snapshot pool
+  // A fresh record in `pool` built from a parsed image (tagged like
+  // encode_record); the caller owns the reference.
+  ArenaIndex build_record(SlabPool<CompactProfile>& pool, ArenaIndex tag,
+                          const RecordImage& image);
   // Drops every table-only entry of the content table (caller holds
   // content_mu_).
   void sweep_content();
@@ -576,7 +620,7 @@ class SnapshotArena {
 
   // The content table owns one reference per entry; an entry whose record
   // has ref_count() == 1 has no outside holder left and is swept. A key
-  // cannot gain a new holder except through intern_by_content (which
+  // cannot gain a new holder except through intern_image (which
   // takes content_mu_) or by copying an existing handle (none exist at
   // count 1), so the sweep's release-and-erase under the mutex cannot race
   // a revive. The mutex serves engines decoding in parallel threads of one

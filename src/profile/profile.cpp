@@ -6,18 +6,14 @@
 
 namespace whatsup {
 
-namespace {
-
 // Global version stamps: every content change anywhere draws a fresh value,
 // so version equality implies content equality across all Profile instances
 // (copies keep the stamp of the state they captured). Atomic so snapshot
 // caches stay sound if simulations ever run on several threads.
-std::uint64_t next_version() {
+std::uint64_t next_profile_version() {
   static std::atomic<std::uint64_t> counter{0};
   return counter.fetch_add(1, std::memory_order_relaxed) + 1;
 }
-
-}  // namespace
 
 std::size_t Profile::lower_bound(ItemId id) const {
   return static_cast<std::size_t>(
@@ -25,7 +21,7 @@ std::size_t Profile::lower_bound(ItemId id) const {
 }
 
 void Profile::bump_version() {
-  version_ = ids_.empty() ? 0 : next_version();
+  version_ = ids_.empty() ? 0 : next_profile_version();
   norm_dirty_ = true;
 }
 
@@ -63,24 +59,6 @@ void Profile::set(ItemId id, Cycle timestamp, double score) {
   } else {
     insert_at(i, id, timestamp, score);
   }
-  bump_version();
-}
-
-void Profile::assign_ascending(std::span<const ItemId> ids,
-                               std::span<const Cycle> timestamps,
-                               std::span<const double> scores) {
-  const std::size_t n = ids.size();
-  ids_.resize(n);
-  timestamps_.resize(n);
-  scores_.resize(n);
-  std::size_t liked = 0;
-  for (std::size_t i = 0; i < n; ++i) {
-    ids_[i] = ids[i];
-    timestamps_[i] = timestamps[i];
-    scores_[i] = scores[i];
-    liked += scores[i] > 0.5 ? 1 : 0;
-  }
-  liked_ = liked;
   bump_version();
 }
 

@@ -48,6 +48,11 @@ struct ProfileEntry {
   bool operator==(const ProfileEntry&) const = default;
 };
 
+// A fresh, never-before-drawn content version (never 0). Profiles stamp
+// every content change with one; so do arena records built from bytes
+// that arrived over the wire (profile/compact.hpp).
+std::uint64_t next_profile_version();
+
 class Profile {
  public:
   // Inline slots per parallel array; profiles up to this size are stored
@@ -65,15 +70,6 @@ class Profile {
 
   // Inserts or overwrites the entry for `id` (user-profile update).
   void set(ItemId id, Cycle timestamp, double score);
-
-  // Replaces the contents with parallel arrays already sorted by strictly
-  // ascending id (the caller's guarantee; the wire decoder rejects
-  // anything else). One version stamp for the whole load, where per-entry
-  // set() calls would search, insert and stamp once each; liked count and
-  // norm equal those of a set()-built copy bit for bit.
-  void assign_ascending(std::span<const ItemId> ids,
-                        std::span<const Cycle> timestamps,
-                        std::span<const double> scores);
 
   // addToNewsProfile (Alg. 1 lines 18-22): averages with the existing score
   // when present, inserts the triplet otherwise. Used on item profiles.

@@ -573,6 +573,7 @@ void Engine::finish_slot() {
       obs::add(om.bytes_in[slot], in_bytes);
     }
     for (auto& batch : wire_out_) batch.clear();
+    for (auto& link : link_out_) link.end_batch();
     for (std::size_t f = 0; f < frames.size(); ++f) {
       if (f == fragment_) continue;
       net::WireReader reader(frames[f].data(), frames[f].size());
@@ -584,6 +585,7 @@ void Engine::finish_slot() {
         }
         pending_local_.push_back(std::move(p));
       }
+      link_in_[f].end_batch();
     }
   }
   // Restore the canonical commit order: ascending sender, stable within a

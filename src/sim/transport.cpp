@@ -4,6 +4,7 @@
 #include <fcntl.h>
 #include <poll.h>
 #include <sys/socket.h>
+#include <sys/uio.h>
 #include <unistd.h>
 
 #include <cstring>
@@ -50,7 +51,7 @@ void set_nonblocking(int fd) {
 
 SocketTransport::SocketTransport(std::size_t fragment_id,
                                  std::vector<int> peer_fds)
-    : fragment_(fragment_id), fds_(std::move(peer_fds)), inbuf_(fds_.size()) {
+    : fragment_(fragment_id), fds_(std::move(peer_fds)) {
   if (fragment_ >= fds_.size()) die("fragment_id out of range");
   for (std::size_t f = 0; f < fds_.size(); ++f) {
     if (f == fragment_) continue;
@@ -74,43 +75,108 @@ std::vector<std::vector<std::uint8_t>> SocketTransport::exchange(
   const bool obs_on = obs::enabled();
   const std::uint64_t obs_t0 = obs_on ? obs::now_ns() : 0;
 
-  // Frame every outgoing batch up front (empty batches still ship an empty
-  // frame — the frame is the barrier token).
-  std::vector<std::vector<std::uint8_t>> wbuf(n);
-  std::vector<std::size_t> woff(n, 0);
-  std::vector<bool> got(n, false);
+  // One frame each way per peer (empty batches still ship an empty frame —
+  // the frame is the barrier token). An outgoing frame is its header
+  // followed by the batch, sent from where the batch lies; an incoming one
+  // is read header first and then straight into its payload vector, never
+  // past the frame's end, so a fast peer's next frame waits in the socket.
+  constexpr std::size_t kHeader = net::kFrameHeaderBytes;
+  struct Peer {
+    net::FrameHeader out_header{};
+    std::size_t sent = 0;      // frame bytes written, header included
+    net::FrameHeader in_header{};
+    std::size_t received = 0;  // frame bytes read, header included
+    std::size_t length = 0;    // announced payload length, once the header is in
+    bool done = false;
+  };
+  std::vector<Peer> peers(n);
   std::size_t pending_writes = 0;
   std::size_t pending_reads = 0;
   for (std::size_t f = 0; f < n; ++f) {
     if (f == fragment_) continue;
-    net::frame_append(wbuf[f], std::span<const std::uint8_t>(out[f]));
+    peers[f].out_header = net::frame_header(out[f]);
     ++pending_writes;
     ++pending_reads;
-    // A fast peer may already have shipped this slot's frame.
-    std::size_t off = 0;
-    std::span<const std::uint8_t> payload;
-    const auto status =
-        net::frame_extract(inbuf_[f].data(), inbuf_[f].size(), off, payload);
-    if (status == net::FrameStatus::kCorrupt) die("corrupt frame from peer");
-    if (status == net::FrameStatus::kOk) {
-      in[f].assign(payload.begin(), payload.end());
-      inbuf_[f].erase(inbuf_[f].begin(),
-                      inbuf_[f].begin() + static_cast<std::ptrdiff_t>(off));
-      got[f] = true;
-      --pending_reads;
-    }
   }
+  const auto frame_bytes = [&](std::size_t f) { return kHeader + out[f].size(); };
+  // Writes until the frame is out or the socket is full.
+  const auto write_frame = [&](std::size_t f) {
+    Peer& peer = peers[f];
+    while (peer.sent < frame_bytes(f)) {
+      iovec iov[2];
+      int count = 0;
+      if (peer.sent < kHeader) {
+        iov[count++] = {peer.out_header.data() + peer.sent, kHeader - peer.sent};
+      }
+      const std::size_t body = peer.sent > kHeader ? peer.sent - kHeader : 0;
+      if (body < out[f].size()) {
+        iov[count++] = {const_cast<std::uint8_t*>(out[f].data()) + body,
+                        out[f].size() - body};
+      }
+      msghdr msg{};
+      msg.msg_iov = iov;
+      msg.msg_iovlen = static_cast<decltype(msg.msg_iovlen)>(count);
+      // MSG_NOSIGNAL: a dead peer must surface as EPIPE (-> exception),
+      // not a process-wide SIGPIPE.
+      const ssize_t written = ::sendmsg(fds_[f], &msg, MSG_NOSIGNAL);
+      if (written < 0) {
+        if (errno == EAGAIN || errno == EWOULDBLOCK) return;
+        if (errno == EINTR) continue;
+        die("write failed: " + std::string(std::strerror(errno)));
+      }
+      peer.sent += static_cast<std::size_t>(written);
+    }
+    --pending_writes;
+  };
+  // Reads until the frame is in or the socket is drained.
+  const auto read_frame = [&](std::size_t f) {
+    Peer& peer = peers[f];
+    while (!peer.done) {
+      std::uint8_t* dst = nullptr;
+      std::size_t want = 0;
+      if (peer.received < kHeader) {
+        dst = peer.in_header.data() + peer.received;
+        want = kHeader - peer.received;
+      } else {
+        dst = in[f].data() + (peer.received - kHeader);
+        want = peer.length - (peer.received - kHeader);
+      }
+      if (want > 0) {
+        const ssize_t got = ::read(fds_[f], dst, want);
+        if (got < 0) {
+          if (errno == EAGAIN || errno == EWOULDBLOCK) return;
+          if (errno == EINTR) continue;
+          die("read failed: " + std::string(std::strerror(errno)));
+        }
+        if (got == 0) die("peer closed the connection mid-run");
+        const bool header_was_in = peer.received >= kHeader;
+        peer.received += static_cast<std::size_t>(got);
+        if (!header_was_in && peer.received == kHeader) {
+          if (!net::frame_length(peer.in_header.data(), peer.length)) {
+            die("corrupt frame from peer");
+          }
+          in[f].resize(peer.length);
+        }
+      }
+      if (peer.received >= kHeader && peer.received == kHeader + peer.length) {
+        if (!net::frame_intact(peer.in_header.data(), in[f])) {
+          die("corrupt frame from peer");
+        }
+        peer.done = true;
+        --pending_reads;
+      }
+    }
+  };
 
   std::vector<pollfd> pfds;
   pfds.reserve(n);
-  std::uint8_t chunk[1 << 16];
   while (pending_writes > 0 || pending_reads > 0) {
     pfds.clear();
     for (std::size_t f = 0; f < n; ++f) {
       if (f == fragment_) continue;
       short events = 0;
-      if (woff[f] < wbuf[f].size()) events |= POLLOUT;
-      if (!got[f]) events |= POLLIN;
+      if (peers[f].sent < frame_bytes(f)) events |= POLLOUT;
+      if (!peers[f].done) events |= POLLIN;
       if (events == 0) continue;
       pfds.push_back(pollfd{fds_[f], events, 0});
     }
@@ -123,44 +189,11 @@ std::vector<std::vector<std::uint8_t>> SocketTransport::exchange(
       std::size_t f = 0;
       while (f < n && fds_[f] != p.fd) ++f;
       if ((p.revents & (POLLOUT | POLLERR | POLLHUP)) != 0 &&
-          woff[f] < wbuf[f].size()) {
-        // MSG_NOSIGNAL: a dead peer must surface as EPIPE (-> exception),
-        // not a process-wide SIGPIPE.
-        const ssize_t written = ::send(p.fd, wbuf[f].data() + woff[f],
-                                       wbuf[f].size() - woff[f], MSG_NOSIGNAL);
-        if (written < 0) {
-          if (errno != EAGAIN && errno != EWOULDBLOCK && errno != EINTR) {
-            die("write failed: " + std::string(std::strerror(errno)));
-          }
-        } else {
-          woff[f] += static_cast<std::size_t>(written);
-          if (woff[f] == wbuf[f].size()) --pending_writes;
-        }
+          peers[f].sent < frame_bytes(f)) {
+        write_frame(f);
       }
-      if ((p.revents & (POLLIN | POLLERR | POLLHUP)) != 0 && !got[f]) {
-        const ssize_t got_bytes = ::read(p.fd, chunk, sizeof(chunk));
-        if (got_bytes < 0) {
-          if (errno != EAGAIN && errno != EWOULDBLOCK && errno != EINTR) {
-            die("read failed: " + std::string(std::strerror(errno)));
-          }
-          continue;
-        }
-        if (got_bytes == 0) die("peer closed the connection mid-run");
-        inbuf_[f].insert(inbuf_[f].end(), chunk, chunk + got_bytes);
-        std::size_t off = 0;
-        std::span<const std::uint8_t> payload;
-        const auto status =
-            net::frame_extract(inbuf_[f].data(), inbuf_[f].size(), off, payload);
-        if (status == net::FrameStatus::kCorrupt) {
-          die("corrupt frame from peer");
-        }
-        if (status == net::FrameStatus::kOk) {
-          in[f].assign(payload.begin(), payload.end());
-          inbuf_[f].erase(inbuf_[f].begin(),
-                          inbuf_[f].begin() + static_cast<std::ptrdiff_t>(off));
-          got[f] = true;
-          --pending_reads;
-        }
+      if ((p.revents & (POLLIN | POLLERR | POLLHUP)) != 0 && !peers[f].done) {
+        read_frame(f);
       }
     }
   }
@@ -168,12 +201,13 @@ std::vector<std::vector<std::uint8_t>> SocketTransport::exchange(
     const TransportMetrics& om = TransportMetrics::get();
     obs::add(om.exchanges);
     std::uint64_t wire_out = 0;
-    for (const auto& w : wbuf) wire_out += w.size();
-    obs::add(om.wire_bytes_out, wire_out);
     std::uint64_t wire_in = 0;
     for (std::size_t f = 0; f < n; ++f) {
-      if (f != fragment_) wire_in += in[f].size();
+      if (f == fragment_) continue;
+      wire_out += frame_bytes(f);
+      wire_in += in[f].size();
     }
+    obs::add(om.wire_bytes_out, wire_out);
     obs::add(om.wire_bytes_in, wire_in);
     obs::observe(om.wait, obs::now_ns() - obs_t0);
   }

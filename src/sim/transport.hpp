@@ -77,7 +77,10 @@ class InProcessTransport final : public Transport {
 // to fragment f (own slot -1); the constructor takes ownership and the
 // destructor closes them. Exchange writes one frame per peer and reads one
 // frame per peer, polling so simultaneous full-duplex traffic cannot
-// deadlock on kernel buffer limits. A closed peer or a corrupt frame
+// deadlock on kernel buffer limits. Batches are sent in place behind their
+// frame header and payloads are read straight into the returned vectors;
+// reads stop at each frame's end, so a fast peer's next-slot frame waits in
+// the socket for the next exchange. A closed peer or a corrupt frame
 // throws std::runtime_error: workers are lockstep replicas, so any
 // divergence is fatal by design.
 class SocketTransport final : public Transport {
@@ -96,10 +99,6 @@ class SocketTransport final : public Transport {
  private:
   std::size_t fragment_ = 0;
   std::vector<int> fds_;  // index = fragment; own slot = -1
-  // Per-peer receive accumulation: a fast peer may ship its NEXT slot's
-  // frame before we finish the current slot, so leftover bytes must
-  // survive between exchanges (frames are extracted strictly FIFO).
-  std::vector<std::vector<std::uint8_t>> inbuf_;
 };
 
 // Builds a full mesh of AF_UNIX stream socketpairs for `n` fragments:

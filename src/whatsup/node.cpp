@@ -131,6 +131,9 @@ void WhatsUpAgent::on_cycle(sim::Context& ctx) {
     opt_in_->hygiene.evict_stale(wup_.view(), ctx.now());
   }
   if (config_.reliability.enabled) pump_retransmissions(ctx);
+  // A silent cycle (both steps idle, e.g. a recovering node with empty
+  // views) stamps no descriptor: the steps would draw nothing either.
+  if (!rps_.will_send(ctx.now()) && !wup_.will_send(ctx.now(), rps_.view())) return;
   const net::Descriptor self = self_descriptor(ctx.now());
   rps_.step(ctx, self);
   wup_.step(ctx, self, rps_.view());

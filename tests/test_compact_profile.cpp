@@ -148,6 +148,13 @@ Profile random_profile(Rng& rng, std::size_t entries, ItemId universe,
   return p;
 }
 
+// What the wire decoder does with a received snapshot: the sender's
+// record bytes through the content table.
+ProfileHandle intern(const Profile& profile) {
+  const ProfileHandle sent = CompactProfile::encode(profile);
+  return SnapshotArena::instance().intern_image(sent->image());
+}
+
 void expect_bit_identical(const Profile& original, const Profile& decoded) {
   ASSERT_EQ(decoded, original);
   EXPECT_EQ(decoded.version(), original.version());
@@ -366,7 +373,7 @@ TEST(SnapshotArena, ThreadedSweepRacesInternCopyDrop) {
       Rng rng(2000 + t);
       for (int round = 0; round < kRounds; ++round) {
         const std::size_t k = rng.index(kProfiles);
-        ProfileHandle h = arena.intern_by_content(profiles[k]);
+        ProfileHandle h = intern(profiles[k]);
         ProfileHandle copy = h;        // retain
         ProfileHandle moved = std::move(h);  // steal
         h = copy;                      // re-retain through assignment
@@ -477,8 +484,8 @@ TEST(SnapshotArena, ContentInternDedupesAcrossDistinctVersions) {
   b.set(9, 2, 0.0);
   ASSERT_NE(a.version(), b.version());
   auto& arena = SnapshotArena::instance();
-  const ProfileHandle ha = arena.intern_by_content(a);
-  const ProfileHandle hb = arena.intern_by_content(b);
+  const ProfileHandle ha = intern(a);
+  const ProfileHandle hb = intern(b);
   EXPECT_EQ(ha.record(), hb.record());
   // The shared record reproduces the shared contents (version keeps the
   // first arrival's stamp — versions only key caches, never behavior).
@@ -490,7 +497,7 @@ TEST(SnapshotArena, ContentInternDedupesAcrossDistinctVersions) {
   // Different contents stay distinct.
   Profile c;
   c.set(3, 1, 1.0);
-  const ProfileHandle hc = arena.intern_by_content(c);
+  const ProfileHandle hc = intern(c);
   EXPECT_NE(hc.record(), ha.record());
 }
 
@@ -524,7 +531,7 @@ TEST(SnapshotArena, ThreadedContentInternAndSweepConverge) {
       Rng rng(3000 + t);
       for (int round = 0; round < kRounds; ++round) {
         const std::size_t k = rng.index(kProfiles);
-        const ProfileHandle h = arena.intern_by_content(profiles[k]);
+        const ProfileHandle h = intern(profiles[k]);
         if (!(h.decode() == profiles[k])) ++failures[t];
       }
     });

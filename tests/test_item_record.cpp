@@ -212,9 +212,10 @@ TEST(ItemRecord, ScorerPreparedFromRecordEqualsDecodedForEveryMetric) {
   }
 }
 
-// A fixed news frame, byte for byte as the mutable-profile payload encoded
-// it: the record path changes the in-memory form only.
-TEST(ItemRecord, NewsFrameBytesUnchanged) {
+// A fixed news frame, byte for byte: the header fields, then the item
+// record's body — count, flags, byte length and the record's own bytes
+// (raw doubles, zigzag id deltas, zigzag timestamp deltas).
+TEST(ItemRecord, NewsFrameBytesPinned) {
   Profile p;
   p.set(3, 17, 0.75);
   p.set(0x1234567890ULL, 20, 1.0);
@@ -240,13 +241,22 @@ TEST(ItemRecord, NewsFrameBytesUnchanged) {
   std::vector<std::uint8_t> bytes;
   net::encode_message(bytes, m, tx);
   const std::vector<std::uint8_t> expected{
+      // from, to, sent_at, seq, type, payload index, id, index, created,
+      // origin, dislikes, hops, via_dislike
       0x04, 0x09, 0x2c, 0x03, 0x04, 0x01, 0xa3, 0x82, 0xbc, 0xef, 0xbc, 0x15,
-      0x29, 0x20, 0x07, 0x04, 0x0a, 0x01, 0x04, 0x03, 0x8d, 0xf1, 0xd9, 0xa2,
-      0xa3, 0x02, 0x09, 0xf7, 0xf2, 0xf6, 0x8f, 0xe4, 0xd0, 0xae, 0xee, 0xfe,
-      0x01, 0x22, 0x06, 0x03, 0x06, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,
-      0xe8, 0x3f, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0xf0, 0x3f, 0x00, 0x00,
-      0x00, 0x00, 0x00, 0x00, 0xd8, 0x3f, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,
-      0x00, 0x00};
+      0x29, 0x20, 0x07, 0x04, 0x0a, 0x01,
+      // full item tag, count 4, flags 0 (real scores), 53 record bytes
+      0x01, 0x04, 0x00, 0x35,
+      // scores 0.75, 1.0, 0.375, 0.0
+      0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0xe8, 0x3f,
+      0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0xf0, 0x3f,
+      0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0xd8, 0x3f,
+      0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,
+      // id deltas
+      0x06, 0x9a, 0xe2, 0xb3, 0xc5, 0xc6, 0x04, 0x12, 0x91, 0x9a, 0x92, 0xe0,
+      0xb7, 0xde, 0xa2, 0xa3, 0x02,
+      // timestamp deltas 17, +3, -2, +3
+      0x22, 0x06, 0x03, 0x06};
   EXPECT_EQ(bytes, expected);
 
   net::SnapshotRecvTable rx(net::snapshot_table_slots(0));
@@ -254,6 +264,7 @@ TEST(ItemRecord, NewsFrameBytesUnchanged) {
   net::Message out;
   ASSERT_TRUE(net::decode_message(r, out, rx));
   EXPECT_EQ(out.news().item_profile.decode(), p);
+  rx.end_batch();  // the link holds the batch's full item ships until here
   EXPECT_EQ(out.news().item_profile.use_count(), 1);  // a detached record
 }
 

@@ -132,9 +132,10 @@ TEST(Transport, CorruptFrameIsFatal) {
   }
 }
 
-// Decorator tallying the profiled (non-empty snapshot) descriptors its
-// fragment ships, by decoding the outgoing batches through its own mirror
-// tables: a count independent of the codec's sender-side counters.
+// Decorator tallying the profiled (non-empty snapshot) descriptors and the
+// news envelopes with an item profile its fragment ships, by decoding the
+// outgoing batches through its own mirror tables: counts independent of
+// the codec's sender-side counters.
 class CountingTransport final : public Transport {
  public:
   CountingTransport(Transport& inner, std::size_t slots)
@@ -157,13 +158,17 @@ class CountingTransport final : public Transport {
         if (const auto* v = std::get_if<net::ViewPayload>(&m.payload)) {
           profiled += v->sender.profile_size() > 0 ? 1 : 0;
           for (const net::Descriptor& d : v->view) profiled += d.profile_size() > 0 ? 1 : 0;
+        } else if (const auto* n = std::get_if<net::NewsPayload>(&m.payload)) {
+          items += n->item_profile != nullptr ? 1 : 0;
         }
       }
+      mirrors_[f].end_batch();
     }
     return inner_.exchange(out);
   }
 
   std::uint64_t profiled = 0;
+  std::uint64_t items = 0;
   std::uint64_t undecodable = 0;
 
  private:
@@ -179,8 +184,10 @@ std::uint64_t counter_value(const char* name) {
 }
 
 // Per fragment: wire.snapshot.full, wire.snapshot.ref, the decorator's
-// profiled-descriptor tally and its decode failures.
-using WireCounts = std::array<std::uint64_t, 4>;
+// profiled-descriptor tally and its decode failures; wire.item.full,
+// wire.item.ref and the decorator's item-carrying news tally;
+// arena.content.hits and arena.content.misses.
+using WireCounts = std::array<std::uint64_t, 9>;
 
 // One 2-fragment run_protocol, each fragment in a forked single-threaded
 // process (so blob arena indices, and with them the link-table slots, are
@@ -217,7 +224,10 @@ std::vector<WireCounts> run_two_fragments(const data::Workload& workload,
         (void)analysis::run_protocol(workload, config);
         obs::set_enabled(false);
         c = {counter_value("wire.snapshot.full"), counter_value("wire.snapshot.ref"),
-             counting.profiled, counting.undecodable};
+             counting.profiled, counting.undecodable,
+             counter_value("wire.item.full"), counter_value("wire.item.ref"),
+             counting.items,
+             counter_value("arena.content.hits"), counter_value("arena.content.misses")};
       } catch (...) {
         ::_exit(3);
       }
@@ -251,8 +261,10 @@ std::vector<WireCounts> run_two_fragments(const data::Workload& workload,
 }
 
 // The wire work counters are exact: two runs at one seed count the same
-// full ships and references per fragment, and full + ref is exactly the
-// number of profiled descriptors the fragment shipped.
+// full ships, references and content-table hits and misses per fragment;
+// snapshot full + ref is exactly the number of profiled descriptors the
+// fragment shipped, and item full + ref the number of its news envelopes
+// carrying an item profile.
 TEST(Transport, WireSnapshotCountersAreExact) {
   Rng rng(31);
   data::SurveyConfig sc;
@@ -271,12 +283,18 @@ TEST(Transport, WireSnapshotCountersAreExact) {
   const std::vector<WireCounts> second = run_two_fragments(workload, config);
   EXPECT_EQ(first, second);
   for (std::size_t w = 0; w < first.size(); ++w) {
-    const auto [full, ref, profiled, undecodable] = first[w];
+    const auto [full, ref, profiled, undecodable, item_full, item_ref, items,
+                content_hits, content_misses] = first[w];
     SCOPED_TRACE(testing::Message() << "fragment " << w);
     EXPECT_EQ(undecodable, 0u);
     EXPECT_GT(full, 0u);
     EXPECT_GT(ref, 0u);
     EXPECT_EQ(full + ref, profiled);
+    EXPECT_GT(item_full, 0u);
+    EXPECT_GT(item_ref, 0u);
+    EXPECT_EQ(item_full + item_ref, items);
+    EXPECT_GT(content_hits, 0u);
+    EXPECT_GT(content_misses, 0u);
   }
 }
 

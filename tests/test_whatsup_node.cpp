@@ -2,8 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <memory>
 
+#include "obs/registry.hpp"
 #include "whatsup_test_utils.hpp"
 
 namespace whatsup {
@@ -286,6 +288,38 @@ TEST(WhatsUpNode, RpsAndWupRequestsOfOneCycleShareOneStampRecord) {
       EXPECT_EQ(disclosed, truth);
     }
   }
+}
+
+// A cycle in which neither gossip step sends stamps no self descriptor:
+// a node whose views are both empty (a recovering node) stays silent and
+// makes no stamp record, and once it has a peer, one stamp serves both of
+// the cycle's requests.
+TEST(WhatsUpNode, SilentCycleStampsNoDescriptor) {
+  const auto stamp_creates = [] {
+    for (const obs::MetricValue& m : obs::Registry::instance().merge()) {
+      if (m.name == "arena.stamp.creates") return m.value;
+    }
+    return std::uint64_t{0};
+  };
+  obs::Registry::instance().reset();
+  obs::set_enabled(true);
+  {
+    WhatsUpConfig config;
+    config.params.rps_period = 1;
+    config.params.wup_period = 1;
+    FixedOpinions opinions;
+    sim::Engine engine({123, {}, {}});
+    auto node_owner = std::make_unique<WhatsUpAgent>(0, config, opinions);
+    WhatsUpAgent* node = node_owner.get();
+    engine.add_agent(std::move(node_owner));
+    engine.add_agent(std::make_unique<RequestSink>());
+    engine.run_cycles(3);
+    EXPECT_EQ(stamp_creates(), 0u);
+    node->bootstrap_rps({net::Descriptor{1, 0, nullptr}});
+    engine.run_cycles(1);
+    EXPECT_EQ(stamp_creates(), 1u);
+  }
+  obs::set_enabled(false);
 }
 
 }  // namespace

@@ -70,21 +70,36 @@ Profile wide_binary_profile() {
   return p;
 }
 
+// Ids past 2^63: their first zigzag delta is negative as an int64, and
+// the record must still carry them ascending.
+Profile huge_id_profile() {
+  Profile p;
+  p.set(~ItemId{0} - 1, 3, 1.0);
+  p.set(~ItemId{0}, 4, 0.0);
+  return p;
+}
+
+Message roundtrip_message(const Message& in);
+
+// A profile through the news path: its item record's body crosses a link
+// and the receiver builds a record from the bytes. An empty profile ships
+// as the null item record.
 Profile roundtrip_profile(const Profile& in) {
-  std::vector<std::uint8_t> buf;
-  encode_profile(buf, in);
-  WireReader r(buf.data(), buf.size());
-  Profile out;
-  EXPECT_TRUE(decode_profile(r, out));
-  EXPECT_TRUE(r.ok());
-  EXPECT_EQ(r.remaining(), 0u);
-  return out;
+  Message m;
+  m.type = MsgType::kNews;
+  m.from = 1;
+  m.to = 2;
+  NewsPayload n;
+  n.item_profile = item_record(in);
+  m.payload = std::move(n);
+  return roundtrip_message(m).news().item_profile.decode();
 }
 
 TEST(Wire, ProfileRoundTripBinaryRealWideEmpty) {
   EXPECT_EQ(roundtrip_profile(binary_profile()), binary_profile());
   EXPECT_EQ(roundtrip_profile(real_profile()), real_profile());
   EXPECT_EQ(roundtrip_profile(wide_binary_profile()), wide_binary_profile());
+  EXPECT_EQ(roundtrip_profile(huge_id_profile()), huge_id_profile());
   EXPECT_EQ(roundtrip_profile(Profile{}), Profile{});
 }
 
@@ -100,7 +115,7 @@ TEST(Wire, ProfileScoresRoundTripToTheBit) {
   EXPECT_EQ(out.scores()[1], 1.0 / 3.0);
   // The one-pass decoder rebuilds the derived fields bit-equal too.
   for (const Profile& in : {p, binary_profile(), real_profile(),
-                            wide_binary_profile()}) {
+                            wide_binary_profile(), huge_id_profile()}) {
     const Profile back = roundtrip_profile(in);
     EXPECT_EQ(back.liked_count(), in.liked_count());
     EXPECT_EQ(std::bit_cast<std::uint64_t>(back.norm()),
@@ -373,59 +388,185 @@ TEST(Wire, CorruptFieldsAreRejected) {
     Message out;
     EXPECT_FALSE(decode_message(r, out, link.rx));
   }
-  // Duplicate profile ids (zero delta after the first entry).
+  // An item back-reference to an ordinal the batch has not shipped.
   {
+    Link link;
+    Message m;
+    m.type = MsgType::kNews;
+    m.from = 1;
+    m.to = 2;
+    NewsPayload n;
+    n.item_profile = item_record(real_profile());
+    m.payload = std::move(n);
     std::vector<std::uint8_t> buf;
-    wire_varint(buf, 2);  // count
-    wire_varint(buf, 5);  // first id
-    wire_varint(buf, 0);  // delta 0 => duplicate id
+    encode_message(buf, m, link.tx);
+    std::vector<std::uint8_t> ref;
+    encode_message(ref, m, link.tx);  // the second ship is a back-reference
+    Message out;
+    WireReader cold(ref.data(), ref.size());
+    EXPECT_FALSE(decode_message(cold, out, link.rx));
     WireReader r(buf.data(), buf.size());
-    Profile out;
-    EXPECT_FALSE(decode_profile(r, out));
+    ASSERT_TRUE(decode_message(r, out, link.rx));
+    WireReader warm(ref.data(), ref.size());
+    EXPECT_TRUE(decode_message(warm, out, link.rx));
+    ASSERT_GE(ref.size(), 2u);
+    ref.back() = 1;  // ordinal 1: only ordinal 0 was shipped
+    WireReader past(ref.data(), ref.size());
+    EXPECT_FALSE(decode_message(past, out, link.rx));
   }
-  // Id deltas that wrap past 2^64 would break the ascending order the
-  // one-pass decoder loads as-is.
-  {
-    std::vector<std::uint8_t> buf;
-    wire_varint(buf, 2);                           // count
-    wire_varint(buf, ~std::uint64_t{0} - 1);       // first id
-    wire_varint(buf, 3);                           // wraps to 1
-    wire_zigzag(buf, 0);
-    wire_zigzag(buf, 0);
-    wire_u8(buf, 1);
-    wire_u8(buf, 0);
-    WireReader r(buf.data(), buf.size());
-    Profile out;
-    EXPECT_FALSE(decode_profile(r, out));
-  }
-  // Entry count beyond the sanity cap must be rejected before any
-  // allocation is attempted.
-  {
-    std::vector<std::uint8_t> buf;
-    wire_varint(buf, kMaxWireProfileEntries + 1);
-    WireReader r(buf.data(), buf.size());
-    Profile out;
-    EXPECT_FALSE(decode_profile(r, out));
-  }
-  // Unknown score-flags byte.
-  {
-    std::vector<std::uint8_t> buf;
-    wire_varint(buf, 1);   // count
-    wire_varint(buf, 3);   // id
-    wire_zigzag(buf, 0);   // timestamp
-    wire_u8(buf, 7);       // flags: only 0/1 defined
-    wire_u8(buf, 0);
-    WireReader r(buf.data(), buf.size());
-    Profile out;
-    EXPECT_FALSE(decode_profile(r, out));
-  }
-  // Over-long varint (continuation bits past 64 bits of payload).
+  // Over-long varint (continuation bits past 64 bits of payload).  // Over-long varint (continuation bits past 64 bits of payload).
   {
     std::vector<std::uint8_t> buf(10, 0xff);
     buf.push_back(0x01);
     WireReader r(buf.data(), buf.size());
     (void)r.read_varint();
     EXPECT_FALSE(r.ok());
+  }
+}
+
+// A record body around raw record bytes: count, flags, the byte length
+// (plus `extra_length`) and the bytes.
+std::vector<std::uint8_t> record_body(std::uint64_t count, std::uint8_t flags,
+                                      const std::vector<std::uint8_t>& bytes,
+                                      std::uint64_t extra_length = 0) {
+  std::vector<std::uint8_t> buf;
+  wire_varint(buf, count);
+  wire_u8(buf, flags);
+  wire_varint(buf, bytes.size() + extra_length);
+  buf.insert(buf.end(), bytes.begin(), bytes.end());
+  return buf;
+}
+
+bool decodes(const std::vector<std::uint8_t>& body) {
+  WireReader r(body.data(), body.size());
+  RecordImage image;
+  return decode_record_body(r, image) && r.remaining() == 0;
+}
+
+// Raw bytes of the binary record {(5, t=3, like), (6, t=3, dislike)}:
+// mask, zigzag id deltas, zigzag timestamp deltas.
+std::vector<std::uint8_t> two_entry_bytes() {
+  return {0b01, 10, 2, 6, 0};
+}
+
+// Every rejection of the record body: the receiver accepts exactly the
+// canonical bytes CompactProfile writes, so equal contents are equal bytes.
+TEST(Wire, CorruptRecordBodiesAreRejected) {
+  ASSERT_TRUE(decodes(record_body(2, 1, two_entry_bytes())));  // the control
+  // Duplicate ids (zero delta after the first entry).
+  EXPECT_FALSE(decodes(record_body(2, 1, {0b01, 10, 0, 6, 0})));
+  // Id deltas that wrap past 2^64: first id 2^64 - 2 (zigzag of -2), then
+  // +3 wraps to 1.
+  EXPECT_FALSE(decodes(record_body(2, 1, {0b01, 3, 6, 0, 0})));
+  EXPECT_TRUE(decodes(record_body(2, 1, {0b01, 3, 2, 0, 0})));  // +1: 2^64 - 1
+  // A negative id delta after the first entry.
+  EXPECT_FALSE(decodes(record_body(2, 1, {0b01, 10, 1, 6, 0})));
+  // Entry count beyond the sanity cap, rejected before the bytes are read.
+  EXPECT_FALSE(decodes(record_body(kMaxWireProfileEntries + 1, 1, {})));
+  // A count the bytes cannot hold (every entry takes two bytes or more),
+  // and a zero count (empty records ship no body).
+  EXPECT_FALSE(decodes(record_body(3, 1, two_entry_bytes())));
+  EXPECT_FALSE(decodes(record_body(0, 1, {})));
+  // Unknown score-flags bytes.
+  for (const std::uint8_t flags : {2, 3, 7, 0x80}) {
+    EXPECT_FALSE(decodes(record_body(2, flags, two_entry_bytes()))) << int(flags);
+  }
+  // Over-long varints: a redundant zero continuation byte, and more than
+  // 64 bits.
+  EXPECT_FALSE(decodes(record_body(2, 1, {0b01, 0x8a, 0x00, 2, 6, 0})));
+  {
+    std::vector<std::uint8_t> bytes{0b01};
+    bytes.insert(bytes.end(), 10, 0xff);
+    bytes.push_back(0x01);
+    bytes.insert(bytes.end(), {2, 6, 0});
+    EXPECT_FALSE(decodes(record_body(2, 1, bytes)));
+  }
+  // A byte length past the input.
+  EXPECT_FALSE(decodes(record_body(2, 1, two_entry_bytes(), 1)));
+  // Trailing bytes inside the length.
+  {
+    std::vector<std::uint8_t> bytes = two_entry_bytes();
+    bytes.push_back(0);
+    EXPECT_FALSE(decodes(record_body(2, 1, bytes)));
+  }
+  // Nonzero padding bits past the last entry's mask bit.
+  EXPECT_FALSE(decodes(record_body(2, 1, {0b101, 10, 2, 6, 0})));
+  // The real-valued flag on 0/1 scores (canonically a mask), including
+  // -0.0, which the mask encodes as 0.
+  for (const double second : {0.0, 1.0, -0.0}) {
+    std::vector<std::uint8_t> bytes;
+    for (const double score : {1.0, second}) {
+      const auto bits = std::bit_cast<std::uint64_t>(score);
+      for (int b = 0; b < 8; ++b) bytes.push_back(static_cast<std::uint8_t>(bits >> (8 * b)));
+    }
+    std::vector<std::uint8_t> real = bytes;
+    bytes.insert(bytes.end(), {10, 2, 6, 0});
+    EXPECT_FALSE(decodes(record_body(2, 0, bytes))) << second;
+    // The control: a score of 0.5 makes the flag canonical.
+    const auto half = std::bit_cast<std::uint64_t>(0.5);
+    for (int b = 0; b < 8; ++b) real[8 + b] = static_cast<std::uint8_t>(half >> (8 * b));
+    real.insert(real.end(), {10, 2, 6, 0});
+    EXPECT_TRUE(decodes(record_body(2, 0, real)));
+  }
+  // Timestamps outside int32: 2^31 directly, and INT32_MAX then +1.
+  {
+    std::vector<std::uint8_t> bytes{0b1, 10};
+    varint_append(bytes, zigzag_encode(std::int64_t{1} << 31));
+    EXPECT_FALSE(decodes(record_body(1, 1, bytes)));
+    std::vector<std::uint8_t> at_max{0b11, 10, 2};
+    varint_append(at_max, zigzag_encode(INT32_MAX));
+    std::vector<std::uint8_t> past_max = at_max;
+    at_max.push_back(0);
+    past_max.push_back(2);  // zigzag(+1)
+    EXPECT_TRUE(decodes(record_body(2, 1, at_max)));
+    EXPECT_FALSE(decodes(record_body(2, 1, past_max)));
+    std::vector<std::uint8_t> below_min{0b1, 10};
+    varint_append(below_min, zigzag_encode(std::int64_t{INT32_MIN} - 1));
+    EXPECT_FALSE(decodes(record_body(1, 1, below_min)));
+  }
+  // Every strict prefix of a valid body is rejected.
+  const std::vector<std::uint8_t> body = record_body(2, 1, two_entry_bytes());
+  for (std::size_t len = 0; len < body.size(); ++len) {
+    WireReader r(body.data(), len);
+    RecordImage image;
+    EXPECT_FALSE(decode_record_body(r, image)) << "prefix length " << len;
+  }
+}
+
+// A record the receiver builds from wire bytes equals the sender's record:
+// same bytes, and the liked count, oldest timestamp and norm the one-pass
+// parse derives are those CompactProfile::encode computed from the
+// Profile (the norm to the bit).
+TEST(Wire, RecordBuiltFromWireBytesEqualsTheEncodedRecord) {
+  Profile negative;
+  negative.set(4, -7, 1.0);
+  negative.set(5, -40000, 0.0);
+  negative.set(9, 12, 1.0);
+  Profile real_wide;
+  for (ItemId id = 1; id <= 12; ++id) real_wide.set(id * 3, static_cast<Cycle>(id) - 6, 0.1 * static_cast<double>(id));
+  for (const Profile& p : {binary_profile(), real_profile(), wide_binary_profile(),
+                           negative, real_wide, huge_id_profile()}) {
+    const ProfileHandle sent = CompactProfile::encode(p);
+    std::vector<std::uint8_t> buf;
+    encode_record_body(buf, *sent.record());
+    WireReader r(buf.data(), buf.size());
+    RecordImage image;
+    ASSERT_TRUE(decode_record_body(r, image));
+    EXPECT_EQ(r.remaining(), 0u);
+    for (const ProfileHandle& built : {item_record(image),
+                                       SnapshotArena::instance().intern_image(image)}) {
+      const RecordImage a = sent->image();
+      const RecordImage b = built->image();
+      EXPECT_TRUE(std::equal(a.bytes.begin(), a.bytes.end(), b.bytes.begin(), b.bytes.end()));
+      EXPECT_EQ(built->size(), sent->size());
+      EXPECT_EQ(built->binary_scores(), sent->binary_scores());
+      EXPECT_EQ(built->liked_count(), sent->liked_count());
+      EXPECT_EQ(built->oldest_timestamp(), sent->oldest_timestamp());
+      EXPECT_EQ(std::bit_cast<std::uint64_t>(built->norm()),
+                std::bit_cast<std::uint64_t>(sent->norm()));
+      EXPECT_NE(built->version(), 0u);
+      EXPECT_EQ(built.decode(), p);
+    }
   }
 }
 
@@ -489,6 +630,33 @@ TEST(Wire, CorruptFramesAreDetected) {
     std::span<const std::uint8_t> payload;
     EXPECT_EQ(frame_extract(stream.data(), stream.size(), offset, payload),
               FrameStatus::kCorrupt);
+  }
+  // Every single-byte flip anywhere in a frame whose payload (75 bytes:
+  // two full 32-byte checksum blocks and an 11-byte tail) is not a
+  // multiple of 8: never a good frame. Payload and checksum flips are
+  // checksum mismatches; a flipped length either waits for bytes that
+  // never come or checks the wrong span.
+  {
+    std::vector<std::uint8_t> payload(75);
+    for (std::size_t i = 0; i < payload.size(); ++i) {
+      payload[i] = static_cast<std::uint8_t>(i * 37 + 11);
+    }
+    std::vector<std::uint8_t> good;
+    frame_append(good, payload);
+    for (std::size_t pos = 0; pos < good.size(); ++pos) {
+      for (const std::uint8_t flip : {0x01, 0x10, 0x80, 0xff}) {
+        std::vector<std::uint8_t> stream = good;
+        stream[pos] ^= flip;
+        std::size_t offset = 0;
+        std::span<const std::uint8_t> out;
+        const FrameStatus status = frame_extract(stream.data(), stream.size(), offset, out);
+        if (pos >= 4) {
+          EXPECT_EQ(status, FrameStatus::kCorrupt) << "byte " << pos << " flip " << int(flip);
+        } else {
+          EXPECT_NE(status, FrameStatus::kOk) << "byte " << pos << " flip " << int(flip);
+        }
+      }
+    }
   }
   // Absurd length prefix: rejected before waiting for gigabytes.
   {
@@ -597,7 +765,8 @@ TEST(WireLink, OutOfRangeIndexIsRejected) {
   for (const std::uint8_t tag : {kTagFull, kTagRef}) {
     for (const std::uint64_t slot : {std::uint64_t{8}, std::uint64_t{1} << 40}) {
       std::vector<std::uint8_t> buf = descriptor_bytes(tag, slot, 1);
-      encode_profile(buf, binary_profile());  // contents, for the full tag
+      // A record body, for the full tag.
+      encode_record_body(buf, *CompactProfile::encode(binary_profile()).record());
       WireReader r(buf.data(), buf.size());
       Descriptor out;
       EXPECT_FALSE(decode_descriptor(r, out, link.rx))
@@ -647,18 +816,42 @@ TEST(WireLink, VersionMismatchIsRejected) {
   EXPECT_EQ(out.decoded_profile(), binary_profile());
 }
 
-// Every strict prefix of a batch whose second envelope rides references is
-// rejected, except the one cut exactly between the envelopes, which is the
-// (valid) one-envelope batch. A reader that fails on a reference must fail
-// cleanly, whatever state the table reached.
+// A news message carrying `item`.
+Message news_message(NodeId to, const ProfileHandle& item) {
+  Message m;
+  m.type = MsgType::kNews;
+  m.from = 1;
+  m.to = to;
+  m.sent_at = 30;
+  NewsPayload n;
+  n.id = 77;
+  n.index = 5;
+  n.item_profile = item;
+  m.payload = std::move(n);
+  return m;
+}
+
+// Every strict prefix of a batch whose second half rides references —
+// snapshot table references and item back-references — is rejected,
+// except the cuts exactly between envelopes, which are valid shorter
+// batches. A reader that fails on a reference must fail cleanly, whatever
+// state the table reached.
 TEST(WireLink, EveryPrefixOfABatchWithReferencesIsRejected) {
   Link link;
   const Message m = view_message(MsgType::kWupReply);
+  const ProfileHandle item = item_record(real_profile());
   std::vector<std::uint8_t> batch;
-  encode_envelope(batch, 40, m, link.tx);
-  const std::size_t boundary = batch.size();
-  encode_envelope(batch, 41, m, link.tx);  // every snapshot now a reference
-  ASSERT_LT(batch.size() - boundary, boundary);
+  std::vector<std::size_t> boundaries;  // envelope ends
+  const auto append = [&](Cycle due, const Message& message) {
+    encode_envelope(batch, due, message, link.tx);
+    boundaries.push_back(batch.size());
+  };
+  append(40, m);
+  append(40, news_message(4, item));
+  const std::size_t half = batch.size();
+  append(41, m);                      // every snapshot now a reference
+  append(41, news_message(6, item));  // the item a back-reference
+  ASSERT_LT(batch.size() - half, half);
   for (std::size_t len = 0; len < batch.size(); ++len) {
     SnapshotRecvTable rx(link.rx.slots());
     WireReader r(batch.data(), len);
@@ -673,19 +866,64 @@ TEST(WireLink, EveryPrefixOfABatchWithReferencesIsRejected) {
       }
       ++decoded;
     }
-    if (len == boundary) {
-      EXPECT_FALSE(failed);
-      EXPECT_EQ(decoded, 1u);
+    const auto cut = std::find(boundaries.begin(), boundaries.end(), len);
+    if (cut != boundaries.end()) {
+      EXPECT_FALSE(failed) << "prefix length " << len;
+      EXPECT_EQ(decoded, static_cast<std::size_t>(cut - boundaries.begin()) + 1);
     } else {
       EXPECT_TRUE(failed || len == 0) << "prefix length " << len;
     }
   }
-  // A table that missed the first envelope cannot resolve the second.
-  SnapshotRecvTable cold(link.rx.slots());
-  WireReader r(batch.data() + boundary, batch.size() - boundary);
-  Cycle due = 0;
-  Message out;
-  EXPECT_FALSE(decode_envelope(r, due, out, cold));
+  // A table that missed the first half resolves neither the snapshot
+  // references nor the item back-reference.
+  for (std::size_t k = 2; k < 4; ++k) {
+    SnapshotRecvTable cold(link.rx.slots());
+    WireReader r(batch.data() + boundaries[k - 1], boundaries[k] - boundaries[k - 1]);
+    Cycle due = 0;
+    Message out;
+    EXPECT_FALSE(decode_envelope(r, due, out, cold)) << "envelope " << k;
+  }
+}
+
+// The fLIKE fan-out of one forward: four news envelopes in one batch
+// sharing one item record ship it once in full and then by ordinal, and
+// decode to one shared record. The next batch starts over.
+TEST(WireLink, ItemFanOutShipsOnceAndDecodesToOneRecord) {
+  obs::Registry::instance().reset();
+  obs::set_enabled(true);
+  Link link;
+  const ProfileHandle item = item_record(real_profile());
+  for (int round = 0; round < 2; ++round) {
+    std::vector<std::uint8_t> batch;
+    std::vector<std::size_t> sizes;
+    for (NodeId to = 2; to < 6; ++to) {
+      const std::size_t before = batch.size();
+      encode_envelope(batch, 50 + round, news_message(to, item), link.tx);
+      sizes.push_back(batch.size() - before);
+    }
+    link.tx.end_batch();
+    EXPECT_EQ(counter_value("wire.item.full"), 1u + static_cast<std::uint64_t>(round));
+    EXPECT_EQ(counter_value("wire.item.ref"), 3u * (1u + static_cast<std::uint64_t>(round)));
+    for (std::size_t k = 1; k < sizes.size(); ++k) EXPECT_LT(sizes[k], sizes[0]);
+
+    WireReader r(batch.data(), batch.size());
+    std::vector<ProfileHandle> decoded;
+    for (NodeId to = 2; to < 6; ++to) {
+      Cycle due = 0;
+      Message out;
+      ASSERT_TRUE(decode_envelope(r, due, out, link.rx));
+      EXPECT_EQ(out.to, to);
+      decoded.push_back(out.news().item_profile);
+    }
+    EXPECT_EQ(r.remaining(), 0u);
+    link.rx.end_batch();
+    for (const ProfileHandle& h : decoded) EXPECT_EQ(h, decoded.front());
+    EXPECT_NE(decoded.front(), item);  // the receiver's own record
+    EXPECT_EQ(decoded.front().decode(), real_profile());
+    // Four payloads share the record; end_batch() dropped the table's hold.
+    EXPECT_EQ(decoded.front().use_count(), 4);
+  }
+  obs::set_enabled(false);
 }
 
 // A randomized corpus through a 2-slot link: snapshots collide in the
