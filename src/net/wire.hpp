@@ -189,9 +189,9 @@ class SnapshotSendTable {
   };
   Placement place(ArenaIndex index, std::uint64_t version);
 
-  // The ordinal of item record `item` (non-null) in this batch, and
-  // whether an earlier envelope of the batch already shipped it (then the
-  // ordinal suffices). A first ship takes the next ordinal and pins the
+  // The ordinal of item record `item` (non-null) in this batch, as
+  // Placement::slot, and whether an earlier envelope of the batch already
+  // shipped it (then the ordinal suffices). A first ship takes the next ordinal and pins the
   // record until end_batch(), so its arena index cannot be reused for
   // another record within the batch.
   Placement place_item(const ProfileHandle& item);
