@@ -21,7 +21,7 @@
 #pragma once
 
 #include <cstddef>
-#include <unordered_map>
+#include <map>
 
 #include "common/ids.hpp"
 #include "gossip/view.hpp"
@@ -65,7 +65,7 @@ class ViewHygiene {
 
  private:
   ViewHygieneConfig config_;
-  std::unordered_map<NodeId, int> suspicion_;
+  std::map<NodeId, int> suspicion_;
 };
 
 }  // namespace whatsup::gossip

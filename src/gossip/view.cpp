@@ -1,12 +1,11 @@
 #include "gossip/view.hpp"
 
 #include <algorithm>
-#include <array>
+#include <bit>
 #include <cstddef>
+#include <cstdint>
 #include <functional>
 #include <iterator>
-#include <memory_resource>
-#include <unordered_map>
 
 namespace whatsup::gossip {
 
@@ -106,6 +105,7 @@ struct MergeScratch {
   std::vector<std::pair<double, std::size_t>> scored;
   std::vector<const net::Descriptor*> kept;
   std::vector<net::Descriptor> staged;
+  std::vector<std::uint32_t> positions;  // merge_candidates' dedupe table
   SimilarityScorer scorer;
 };
 
@@ -199,24 +199,28 @@ void merge_candidates(std::span<const net::Descriptor> base,
                       NodeId self, std::vector<const net::Descriptor*>& out) {
   std::size_t total = base.size();
   for (const auto& part : incoming) total += part.size();
-  // The map of the original merge, holding pointers; its nodes and buckets
-  // fit the stack buffer for the usual view sizes (larger merges spill to
-  // the heap).
-  std::array<std::byte, 8192> buffer;
-  std::pmr::monotonic_buffer_resource arena(buffer.data(), buffer.size());
-  std::pmr::unordered_map<NodeId, const net::Descriptor*> freshest(&arena);
-  freshest.reserve(total);
+  // Open addressing over positions in `out` (+1; 0 = empty), sized by the
+  // merge alone and at most half full, so every probe ends at an empty slot.
+  std::vector<std::uint32_t>& positions = scratch().positions;
+  positions.assign(std::bit_ceil(2 * total), 0);
+  const std::size_t mask = positions.size() - 1;
+  out.clear();
   auto absorb = [&](const net::Descriptor& d) {
     if (d.node == self || d.node == kNoNode) return;
-    const auto [it, inserted] = freshest.try_emplace(d.node, &d);
-    if (!inserted && d.timestamp() > it->second->timestamp()) it->second = &d;
+    std::size_t slot = static_cast<std::size_t>((d.node * 0x9E3779B97F4A7C15ull) >> 32) & mask;
+    for (; positions[slot] != 0; slot = (slot + 1) & mask) {
+      const net::Descriptor*& kept = out[positions[slot] - 1];
+      if (kept->node != d.node) continue;
+      if (d.timestamp() > kept->timestamp()) kept = &d;
+      return;
+    }
+    out.push_back(&d);
+    positions[slot] = static_cast<std::uint32_t>(out.size());
   };
   for (const net::Descriptor& d : base) absorb(d);
   for (const auto& part : incoming) {
     for (const net::Descriptor& d : part) absorb(d);
   }
-  out.clear();
-  for (const auto& [node, d] : freshest) out.push_back(d);
 }
 
 }  // namespace whatsup::gossip

@@ -88,21 +88,10 @@ class View {
 };
 
 // Union of `base` and the `incoming` spans, excluding `self` and kNoNode,
-// deduplicated by node id keeping the freshest descriptor (the first seen
-// on equal timestamps). Writes pointers into the source spans to `out`
-// (cleared first). The building block of both merge paths.
-//
-// Candidate-order contract: the order of `out` is part of every fixed-seed
-// trajectory. The merge policies shuffle it, and with binary profiles equal
-// scores are common, so the order decides who is kept. It is the iteration
-// order of a libstdc++ std::unordered_map<NodeId, ...> with std::hash,
-// reserved to the total source size, filled with `base` then each incoming
-// span in order — the container the merge first used. The merge still
-// fills that map (with pointer values, over a stack buffer), so the order
-// follows libstdc++'s hashing, insertion and rehash rules; another standard
-// library would order the candidates differently, so the trajectories are
-// libstdc++'s. tests/test_view.cpp checks the order against the original
-// map-based merge.
+// as pointers into the sources written to `out` (cleared first). The order
+// is first seen: `base`, then each incoming span in call order; a node id
+// seen again keeps its first position and the freshest descriptor (the
+// earlier one on equal timestamps). The building block of both merges.
 void merge_candidates(std::span<const net::Descriptor> base,
                       std::initializer_list<std::span<const net::Descriptor>> incoming,
                       NodeId self, std::vector<const net::Descriptor*>& out);

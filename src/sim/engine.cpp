@@ -53,6 +53,14 @@ std::uint64_t as_substream(Cycle cycle) {
       static_cast<std::uint32_t>(static_cast<std::int64_t>(cycle)));
 }
 
+// "<type> message from <from> to <to>" for the endpoint diagnoses.
+std::string describe_endpoints(const net::Message& m) {
+  const auto name = [](NodeId id) {
+    return id == kNoNode ? std::string("kNoNode") : std::to_string(id);
+  };
+  return net::to_string(m.type) + " message from " + name(m.from) + " to " + name(m.to);
+}
+
 // Telemetry ids (obs/registry.hpp), registered once on first use. Lane
 // writes are gated on obs::enabled() and never draw RNG, synchronize, or
 // reorder work, so fixed-seed trajectories are bit-identical with stats on
@@ -461,12 +469,9 @@ void Engine::route_message(net::Message message) {
   // kNoNode is the unaddressed default of net::Message: routing it would
   // size the per-sender tables and the shard vector to 2^32 entries.
   if (message.from == kNoNode || message.to == kNoNode) {
-    throw std::invalid_argument(
-        "sim::Engine: cannot route " + net::to_string(message.type) + " message from " +
-        (message.from == kNoNode ? std::string("kNoNode") : std::to_string(message.from)) +
-        " to " +
-        (message.to == kNoNode ? std::string("kNoNode") : std::to_string(message.to)) +
-        " sent at cycle " + std::to_string(message.sent_at) + ": unaddressed endpoint");
+    throw std::invalid_argument("sim::Engine: cannot route " + describe_endpoints(message) +
+                                " sent at cycle " + std::to_string(message.sent_at) +
+                                ": unaddressed endpoint");
   }
   const net::Protocol protocol = net::protocol_of(message.type);
   traffic_.record_sent(protocol, config_.size_model.bytes(message));
@@ -582,6 +587,15 @@ void Engine::finish_slot() {
         if (!net::decode_envelope(reader, p.due, p.message, link_in_[f])) {
           throw std::runtime_error(
               "sim::Engine: corrupt envelope batch from peer fragment");
+        }
+        // A checksummed envelope can still name kNoNode or another
+        // fragment's node; bucketing it would grow shards_ toward 2^32 ids.
+        const net::Message& m = p.message;
+        if (m.from == kNoNode || m.to == kNoNode || !owns(m.to)) {
+          throw std::runtime_error(
+              "sim::Engine: misaddressed envelope from peer fragment " + std::to_string(f) +
+              ": " + describe_endpoints(m) + " (kNoNode, or a recipient fragment " +
+              std::to_string(fragment_) + " does not own)");
         }
         pending_local_.push_back(std::move(p));
       }

@@ -114,7 +114,7 @@ class WhatsUpAgent : public sim::Agent {
   // allocated only when at least one of them is configured on. The
   // baseline protocol never touches any of it, and at the million-node
   // scale its inline members (cached obfuscated Profile 280 B, retransmit
-  // queue 104 B, hygiene table 64 B on x86-64 libstdc++) would be a
+  // queue 104 B, hygiene table 56 B on x86-64 libstdc++) would be a
   // significant slice of the per-node footprint in runs that enable none
   // of them.
   struct OptInState {

@@ -8,6 +8,9 @@
 #include <string>
 #include <vector>
 
+#include "net/wire.hpp"
+#include "sim/transport.hpp"
+
 namespace whatsup::sim {
 namespace {
 
@@ -292,6 +295,60 @@ TEST(Engine, RoutingRejectsUnaddressedEndpoints) {
   fx.engine.send(news_message(0, 9));
   EXPECT_NO_THROW(fx.engine.run_cycles(2));
   EXPECT_EQ(route_error(0, 1), "");
+}
+
+// Fragment 0 of two whose peer's first batch is one crafted envelope, as
+// it would arrive intact over a socket (decoded through a mirrored table).
+class OneBatchTransport final : public Transport {
+ public:
+  OneBatchTransport(net::Message message, std::size_t nodes) {
+    net::SnapshotSendTable link(net::snapshot_table_slots(nodes));
+    net::encode_envelope(batch_, /*due=*/1, message, link);
+  }
+  std::size_t fragments() const override { return 2; }
+  std::size_t fragment_id() const override { return 0; }
+  std::vector<std::vector<std::uint8_t>> exchange(
+      const std::vector<std::vector<std::uint8_t>>& out) override {
+    std::vector<std::vector<std::uint8_t>> in(out.size());
+    in[1] = std::move(batch_);
+    batch_.clear();
+    return in;
+  }
+
+ private:
+  std::vector<std::uint8_t> batch_;
+};
+
+TEST(Engine, DecodedEnvelopesRejectMisaddressedEndpoints) {
+  const auto decode_error = [](NodeId from, NodeId to) -> std::string {
+    OneBatchTransport transport(news_message(from, to), 4);
+    Engine::Config config;
+    config.transport = &transport;
+    Fixture fx(config);
+    try {
+      fx.engine.run_cycles(2);
+    } catch (const std::runtime_error& e) {
+      return e.what();
+    }
+    return "";
+  };
+  const std::string no_recipient = decode_error(1, kNoNode);
+  EXPECT_NE(no_recipient.find("misaddressed envelope from peer fragment 1"), std::string::npos)
+      << no_recipient;
+  EXPECT_NE(no_recipient.find("from 1 to kNoNode"), std::string::npos) << no_recipient;
+  const std::string no_sender = decode_error(kNoNode, 2);
+  EXPECT_NE(no_sender.find("from kNoNode to 2"), std::string::npos) << no_sender;
+  // Node 3 belongs to fragment 1, which must not send it to fragment 0.
+  const std::string not_owned = decode_error(1, 3);
+  EXPECT_NE(not_owned.find("from 1 to 3"), std::string::npos) << not_owned;
+  // An envelope for a node of this fragment is delivered.
+  OneBatchTransport transport(news_message(1, 2), 4);
+  Engine::Config config;
+  config.transport = &transport;
+  Fixture fx(config);
+  EXPECT_NO_THROW(fx.engine.run_cycles(2));
+  ASSERT_EQ(fx.probes[2]->received.size(), 1u);
+  EXPECT_EQ(fx.probes[2]->received[0].first, 1u);
 }
 
 }  // namespace

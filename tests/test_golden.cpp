@@ -63,12 +63,12 @@ struct GoldenScenario {
 // Expected values. Change a row only with a change that is MEANT to move
 // the trajectory, and say so in that change's description.
 constexpr GoldenScenario kScenarios[] = {
-    {"adversary", "69abb90d68637ac6", 67},
-    {"churn_wave", "bfb55ef08ba754ef", 67},
-    {"flash_crowd", "9d2a8e822d0f1a95", 67},
-    {"kitchen_sink", "34775e4e31d70bdd", 67},
-    {"partition", "73ff480420814fb0", 67},
-    {"planetlab", "e65994e37224e69d", 67},
+    {"adversary", "419eed28c21b7643", 67},
+    {"churn_wave", "43ebdb03d7dd1cb3", 67},
+    {"flash_crowd", "2401145f0c90f93a", 67},
+    {"kitchen_sink", "d98a200d7d7a7876", 67},
+    {"partition", "6e113e28f2618e92", 67},
+    {"planetlab", "49c8b3aef4939ac6", 67},
 };
 
 class GoldenScenarioTest : public ::testing::TestWithParam<GoldenScenario> {};
@@ -107,7 +107,7 @@ TEST(Golden, PlanetLabFaultsWithReliabilityAndHygiene) {
 
   const analysis::RunResult result = analysis::run_protocol(workload, config);
   EXPECT_EQ(result.cycle_digests.size(), 67u);
-  EXPECT_EQ(fingerprint(result.cycle_digests), "66f99952528dfbee");
+  EXPECT_EQ(fingerprint(result.cycle_digests), "d42e9aefbfc9a51e");
 }
 
 // The same stack over the ModelNet fault preset (rare short loss bursts,
@@ -122,7 +122,7 @@ TEST(Golden, ModelNetFaultsWithReliabilityAndHygiene) {
 
   const analysis::RunResult result = analysis::run_protocol(workload, config);
   EXPECT_EQ(result.cycle_digests.size(), 67u);
-  EXPECT_EQ(fingerprint(result.cycle_digests), "252e839769e0552d");
+  EXPECT_EQ(fingerprint(result.cycle_digests), "a31f6cb5e19a6401");
 }
 
 }  // namespace

@@ -2,8 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <set>
-#include <unordered_map>
+#include <span>
 #include <vector>
 
 namespace whatsup::gossip {
@@ -196,37 +197,45 @@ TEST(MergeCandidates, ExcludesSelf) {
   EXPECT_EQ(merged[0]->node, 1u);
 }
 
-// The map-based merge the candidate order was defined by, verbatim: the
-// oracle for merge_candidates' order contract (view.hpp).
-std::vector<net::Descriptor> original_merge_candidates(
-    std::span<const net::Descriptor> base, std::span<const net::Descriptor> incoming,
-    NodeId self) {
-  std::unordered_map<NodeId, net::Descriptor> best;
-  best.reserve(base.size() + incoming.size());
-  auto absorb = [&](const net::Descriptor& d) {
-    if (d.node == self || d.node == kNoNode) return;
-    const auto it = best.find(d.node);
-    if (it == best.end() || d.timestamp() > it->second.timestamp()) best[d.node] = d;
-  };
-  for (const net::Descriptor& d : base) absorb(d);
-  for (const net::Descriptor& d : incoming) absorb(d);
-  std::vector<net::Descriptor> merged;
-  merged.reserve(best.size());
-  for (auto& [node, d] : best) {
-    (void)node;
-    merged.push_back(std::move(d));
-  }
-  return merged;
+TEST(MergeCandidates, FirstSeenOrderKeepsFreshest) {
+  const std::vector<net::Descriptor> base = {desc(1, 5), desc(2, 7)};
+  // 1 is fresher here; 2 ties the base entry; 7 is the merging node.
+  const std::vector<net::Descriptor> view = {desc(3, 2), desc(1, 9), desc(2, 7),
+                                             desc(kNoNode, 4), desc(7, 8)};
+  const std::vector<net::Descriptor> sender = {net::Descriptor{4, 3, nullptr}};
+  std::vector<const net::Descriptor*> merged;
+  merge_candidates(base, {view, sender}, /*self=*/7, merged);
+  const std::vector<const net::Descriptor*> expected = {&view[1], &base[1], &view[0],
+                                                        &sender[0]};
+  EXPECT_EQ(merged, expected);
 }
 
-TEST(MergeCandidates, OrderMatchesOriginalMapMerge) {
+// The first-seen rule as a plain quadratic loop (view.hpp).
+std::vector<const net::Descriptor*> first_seen_merge(
+    std::initializer_list<std::span<const net::Descriptor>> sources, NodeId self) {
+  std::vector<const net::Descriptor*> out;
+  for (const auto& source : sources) {
+    for (const net::Descriptor& d : source) {
+      if (d.node == self || d.node == kNoNode) continue;
+      const auto it = std::find_if(out.begin(), out.end(),
+                                   [&d](const net::Descriptor* o) { return o->node == d.node; });
+      if (it == out.end()) {
+        out.push_back(&d);
+      } else if (d.timestamp() > (*it)->timestamp()) {
+        *it = &d;
+      }
+    }
+  }
+  return out;
+}
+
+TEST(MergeCandidates, FirstSeenOrderKeepsFreshestAtFirstPosition) {
   Rng rng(77);
   std::uint64_t tag = 0;
   // Node ids from a small range (duplicates within and across sources), the
   // merging node itself, kNoNode, timestamps from a small range (ties), and
-  // profile-less bootstrap descriptors. Every descriptor gets a distinct
-  // snapshot, so keeping the wrong one of two equal-timestamp duplicates
-  // shows as a version mismatch.
+  // profile-less bootstrap descriptors. Every descriptor has its own address
+  // and snapshot, so keeping the wrong one of two duplicates shows.
   auto source = [&](std::size_t n, NodeId self) {
     std::vector<net::Descriptor> out;
     for (std::size_t i = 0; i < n; ++i) {
@@ -240,28 +249,24 @@ TEST(MergeCandidates, OrderMatchesOriginalMapMerge) {
     }
     return out;
   };
-  for (int round = 0; round < 400; ++round) {
+  const auto check = [&](std::size_t most, int round) {
     const auto self = static_cast<NodeId>(rng.index(120));
-    // Every 50th round is large enough to spill the merge's stack buffer.
-    const std::size_t most = round % 50 == 0 ? 300 : 40;
     const auto base = source(rng.index(most), self);
     const auto view = source(rng.index(most), self);
     const auto sender = source(1, self);
     const auto rps = source(rng.index(most), self);
-    std::vector<net::Descriptor> incoming = view;
-    incoming.insert(incoming.end(), sender.begin(), sender.end());
-    incoming.insert(incoming.end(), rps.begin(), rps.end());
-    const auto expected = original_merge_candidates(base, incoming, self);
-
     std::vector<const net::Descriptor*> merged;
     merge_candidates(base, {view, sender, rps}, self, merged);
-    ASSERT_EQ(merged.size(), expected.size()) << "round " << round;
-    for (std::size_t i = 0; i < expected.size(); ++i) {
-      EXPECT_EQ(merged[i]->node, expected[i].node) << "round " << round << ", position " << i;
-      EXPECT_EQ(merged[i]->timestamp(), expected[i].timestamp());
-      EXPECT_EQ(merged[i]->profile().version(), expected[i].profile().version());
-    }
+    EXPECT_EQ(merged, first_seen_merge({base, view, sender, rps}, self)) << "round " << round;
+  };
+  for (int round = 0; round < 400; ++round) {
+    // Every 50th round merges sources of up to 300 descriptors.
+    check(round % 50 == 0 ? 300 : 40, round);
   }
+  // Small merges right after a large one on this thread: no position the
+  // large merge left in the table may survive into them.
+  check(300, -1);
+  for (int round = 0; round < 50; ++round) check(3, -2);
 }
 
 }  // namespace
